@@ -155,26 +155,11 @@ def print_layer_table(
 # -- statistics ----------------------------------------------------------------
 
 
-def percentile(values: list[float], q: float) -> float:
-    """Linear-interpolated percentile, ``q`` in [0, 100]."""
-    ordered = sorted(values)
-    if not ordered:
-        raise ValueError("percentile of no samples")
-    pos = (len(ordered) - 1) * q / 100.0
-    low = int(pos)
-    high = min(low + 1, len(ordered) - 1)
-    return ordered[low] + (ordered[high] - ordered[low]) * (pos - low)
-
-
-def tail_percentile(values: list[float], q: float) -> float:
-    """``percentile`` that refuses a tail with fewer than ten samples."""
-    beyond = len(values) * (100.0 - q) / 100.0
-    if beyond < 10:
-        raise ValueError(
-            f"p{q:g} of {len(values)} samples has {beyond:.1f} beyond it; "
-            "at least ten are needed"
-        )
-    return percentile(values, q)
+def percentile(values: list[float], q: int) -> float:
+    """The ``q``-th percentile (1 <= q <= 99) by the default (exclusive)
+    method of ``statistics.quantiles``, the one the steadiness report's
+    quartiles use too."""
+    return statistics.quantiles(values, n=100)[q - 1]
 
 
 def robust_rate(items: dict[Any, list[tuple[float, float]]]) -> float:
@@ -302,8 +287,14 @@ def emit(
     failed: int,
     metrics: dict[str, dict[str, Any]],
     spans: list[dict[str, Any]] | None = None,
+    extra: dict[str, Any] | None = None,
 ) -> None:
-    """Write the run record under ``out/`` and print the result line last."""
+    """Write the run record under ``out/`` and print the result line last.
+
+    ``extra`` adds fields to the record.  Its ``measured_metrics`` are
+    the metrics with host times as the clock measured them, before
+    scaling to reference seconds; they are printed too, but are not in
+    the result line."""
     for line in checker.mismatches[:20]:
         print(f"MISMATCH {line}", file=sys.stderr)
     if len(checker.mismatches) > 20:
@@ -325,6 +316,8 @@ def emit(
         "mismatches": checker.mismatches,
         "metrics": metrics,
     }
+    record.update(extra or {})
+    raw = record.get("measured_metrics")
     with open(OUT_DIR / f"{stem}.json", "w") as f:
         json.dump(record, f, indent=1)
     if spans is not None:
@@ -332,7 +325,10 @@ def emit(
             json.dump(spans, f)
     print("context: " + json.dumps(context, sort_keys=True))
     for name, m in metrics.items():
-        print(f"  {name:<40} {m['value']:>16.6g} {m['unit']}")
+        line = f"  {name:<40} {m['value']:>16.6g} {m['unit']}"
+        if raw is not None and raw[name] != m["value"]:
+            line += f"  (measured {raw[name]:.6g})"
+        print(line)
     sys.stdout.flush()
     print(
         json.dumps(

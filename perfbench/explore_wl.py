@@ -4,13 +4,16 @@ Each application pass runs a cold ``profile_workload`` (no cache), scores
 all 30 configurations with ``explore_application(jobs=2)``, picks the
 min-error and co-optimized selections, validates the min-error selection
 on held-out trials 2-4 (Figure 8 top) and simulates it.  SimPoint
-clustering and the process pool do most of the work here and almost none
-in the other workloads.
+clustering and the process pool do most of the work here; the pool runs
+in no other workload.
 
 A job is one scored configuration.  The 30 configurations of a pass are
 answered together when ``explore_application`` returns, so each one's
-latency is its pass's time from the cold profile to that return (the
-app's median over the run's rounds).
+latency is its pass's time from the cold profile to that return.  Per
+app that is the median over the run's rounds; ``job_p50_s`` is the
+middle of the four apps' values and ``job_p90_s`` the slowest app's.
+Each pass is timed between two host-speed calibrations and its times
+are reported in reference seconds (see ``hostspeed``).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import Any
 
 import benchcore as bc
 import decompose
+import hostspeed
 from repro.gpu.device import HD4000
 from repro.sampling import (
     ALL_CONFIGS,
@@ -38,6 +42,10 @@ APPS = (
     "sandra-crypt-aes128",
     "sonyvegas-proj-r1",
 )
+#: A run is a fixed number of whole rounds sized from ``--seconds``, so
+#: every run does the same work whatever the host speed.
+NOMINAL_ROUND_SECONDS = 15.0
+MIN_ROUNDS = 2
 HELD_OUT_TRIALS = (2, 3, 4)
 #: Section V-D error threshold for the co-optimized selection.
 CO_OPT_THRESHOLD_PCT = 3.0
@@ -126,23 +134,42 @@ def check_pass(
     return ok
 
 
+def round_count(seconds: float) -> int:
+    return max(MIN_ROUNDS, round(seconds / NOMINAL_ROUND_SECONDS))
+
+
 def timed_loop(
     tracer: bc.Tracer, apps: dict[str, Any], rng: random.Random,
-    seconds: float, rounds: int | None, traced: bool,
-    checker: bc.Checker, expected: dict[str, Any],
+    rounds: int, traced: bool, checker: bc.Checker,
+    expected: dict[str, Any],
+    calibrator: hostspeed.Calibrator | None = None,
 ) -> dict[str, Any]:
-    """Whole rounds (every app once, seeded order) until ``seconds`` pass,
-    or exactly ``rounds`` rounds when given."""
+    """``rounds`` whole rounds: every app once per round, seeded order.
+
+    With a ``calibrator`` each pass is bracketed by host-speed
+    calibrations and carries the factors to reference seconds; otherwise
+    they are 1.
+    """
     passes = []
     replay_s = 0.0
-    cpu0 = bc.cpu_seconds(children=True)
+    speed = calibrator.calibrate() if calibrator else None
     start = time.perf_counter()
-    done_rounds = 0
-    while True:
+    for _ in range(rounds):
         order = list(APPS)
         rng.shuffle(order)
         for name in order:
+            cpu0 = bc.cpu_seconds(children=True)
             outcome = run_pass(tracer, apps[name], traced)
+            outcome["cpu_s"] = bc.cpu_seconds(children=True) - cpu0
+            if not traced:
+                # Nothing replays the pass: keep one app's results alive
+                # at a time, so peak memory does not depend on app order.
+                del outcome["workload"], outcome["exploration"]
+            outcome["scale"] = hostspeed.UNSCALED
+            if calibrator:
+                after = calibrator.calibrate()
+                outcome["scale"] = hostspeed.scale(speed, after)
+                speed = after
             outcome["name"] = name
             outcome["ok"] = check_pass(
                 checker, expected, name, outcome["outputs"]
@@ -156,23 +183,21 @@ def timed_loop(
                 for outcome in passes[-len(order):]:
                     replay_configs(tracer, outcome, checker)
             replay_s += time.perf_counter() - replay_start
-        for outcome in passes[-len(order):]:
-            del outcome["workload"], outcome["exploration"]
-        done_rounds += 1
-        if done_rounds == rounds or (
-            rounds is None and time.perf_counter() - start >= seconds
-        ):
-            break
+            for outcome in passes[-len(order):]:
+                del outcome["workload"], outcome["exploration"]
     return {
         "passes": passes,
-        "rounds": done_rounds,
+        "rounds": rounds,
         "wall_s": time.perf_counter() - start,
         "replay_s": replay_s,
-        "cpu_s": bc.cpu_seconds(children=True) - cpu0,
     }
 
 
-def end_to_end(loop: dict[str, Any], setup_s: float) -> tuple[dict, int, int]:
+def end_to_end(
+    loop: dict[str, Any], setup_s: float, scaled: bool = True
+) -> tuple[dict, int, int]:
+    """The end-to-end metrics; host times in reference seconds, or as
+    measured with ``scaled=False``."""
     passes = loop["passes"]
     per_pass = len(ALL_CONFIGS)
     attempted = per_pass * len(passes)
@@ -182,23 +207,31 @@ def end_to_end(loop: dict[str, Any], setup_s: float) -> tuple[dict, int, int]:
     by_app: dict[str, list[dict[str, Any]]] = {}
     for p in passes:
         by_app.setdefault(p["name"], []).append(p)
-    # Each config's latency is its app's median pass latency over the
-    # run's rounds, so one slow pass does not pick the percentile.
-    latencies = [
-        statistics.median(p["answered_s"] for p in runs)
-        for runs in by_app.values() for _ in range(per_pass * len(runs))
+
+    def host(p: dict[str, Any], key: str) -> float:
+        if not scaled:
+            return p[key]
+        return p[key] * (p["scale"].cpu if key == "cpu_s" else p["scale"].wall)
+
+    # The 30 configs of a pass are answered together, so a config's
+    # latency is its pass's; per app, the median over the run's rounds.
+    # p50 and p90 are the middle and the slowest of the four apps' values,
+    # not a tail over independent jobs.
+    app_latency = [
+        statistics.median(host(p, "answered_s") for p in runs)
+        for runs in by_app.values()
     ]
     outputs = [runs[0]["outputs"] for runs in by_app.values()]
     metrics = {
         "setup_s": setup_s,
         "jobs_per_s": bc.robust_rate({
-            app: [(per_pass, p["pass_s"]) for p in runs]
+            app: [(per_pass, host(p, "pass_s")) for p in runs]
             for app, runs in by_app.items()
         }),
-        "job_p50_s": bc.percentile(latencies, 50),
-        "job_p90_s": bc.tail_percentile(latencies, 90),
+        "job_p50_s": statistics.median(app_latency),
+        "job_p90_s": max(app_latency),
         "ok_frac": ok / attempted,
-        "cpu_s_per_job": loop["cpu_s"] / attempted,
+        "cpu_s_per_job": sum(host(p, "cpu_s") for p in passes) / attempted,
         "peak_rss_mb": bc.peak_rss_mb(children=True),
         "error_pct": _mean(o["holdout_error_pct"] for o in outputs),
         "sim_speedup_x": _mean(o["instruction_speedup"] for o in outputs),

@@ -27,6 +27,7 @@ import tempfile
 import time
 
 import benchcore as bc
+import hostspeed
 
 WORKLOADS = ("explore", "serve")
 SETUP_REPEATS = 3
@@ -128,33 +129,54 @@ def layer_values(
     return values
 
 
-def median_setup(setup) -> tuple[float, object]:
-    """Imports (in a fresh interpreter) plus ``setup``, several times; the
-    median time and the last result."""
-    times = []
+def median_setup(
+    setup, calibrator: hostspeed.Calibrator
+) -> tuple[float, float, object]:
+    """Imports (in a fresh interpreter) plus ``setup``, several times,
+    each between host-speed calibrations.  The median time in reference
+    seconds, the median as measured, and the last result."""
+    scaled, measured = [], []
     result = None
+    speed = calibrator.calibrate()
     for _ in range(SETUP_REPEATS):
         imports = bc.import_seconds()
         start = time.perf_counter()
         result = setup()
-        times.append(imports + time.perf_counter() - start)
-    return statistics.median(times), result
+        seconds = imports + time.perf_counter() - start
+        after = calibrator.calibrate()
+        measured.append(seconds)
+        scaled.append(seconds * hostspeed.scale(speed, after).wall)
+        speed = after
+    return statistics.median(scaled), statistics.median(measured), result
 
 
 # -- workloads -------------------------------------------------------------------
 
 
-def run_explore(args, checker, expected):
+def run_explore(args, checker, expected, calibrator):
     import explore_wl as wl
 
     rng = random.Random(args.seed)
     if not args.trace:
         off = bc.Tracer("explore", enabled=False)
-        setup_s, apps = median_setup(lambda: wl.setup(off))
-        loop = wl.timed_loop(off, apps, rng, args.seconds, None, False,
-                             checker, expected)
+        setup_s, raw_setup_s, apps = median_setup(lambda: wl.setup(off),
+                                                  calibrator)
+        loop = wl.timed_loop(off, apps, rng, wl.round_count(args.seconds),
+                             False, checker, expected, calibrator)
         metrics, attempted, failed = wl.end_to_end(loop, setup_s)
-        return metrics, attempted, failed, None
+        extra = {
+            "measured_metrics":
+                wl.end_to_end(loop, raw_setup_s, scaled=False)[0],
+            "passes": [
+                {"app": p["name"], "pass_s": p["pass_s"],
+                 "answered_s": p["answered_s"], "cpu_s": p["cpu_s"],
+                 "scale": p["scale"]._asdict()}
+                for p in loop["passes"]
+            ],
+        }
+        print(f"explore: {len(loop['passes'])} passes in {loop['rounds']} "
+              "rounds; per app the median over rounds")
+        return metrics, attempted, failed, None, extra
     tracer = bc.Tracer("explore", enabled=True)
     with tracer.span("bench.setup"):
         apps = wl.setup(tracer)
@@ -164,7 +186,7 @@ def run_explore(args, checker, expected):
         with tracer.span("bench.timed") if traced else contextlib.nullcontext():
             loops.append(wl.timed_loop(
                 tracer if traced else off, apps, random.Random(args.seed),
-                args.seconds, 1, traced, checker, expected,
+                1, traced, checker, expected,
             ))
     rows, wall = bc.layer_table(tracer.spans, ("bench.setup", "bench.timed",
                                                "bench.replay"))
@@ -175,43 +197,55 @@ def run_explore(args, checker, expected):
     attempted = len(wl.ALL_CONFIGS) * len(passes)
     failed = attempted - sum(p["outputs"]["configs_scored"] for p in passes)
     return (layer_values(rows, wall, tracer.spans, overhead), attempted,
-            failed, tracer.spans)
+            failed, tracer.spans, None)
 
 
-def run_serve(args, checker, expected):
+def run_serve(args, checker, expected, calibrator):
     import serve_wl as wl
 
-    sequence = wl.job_sequence(args.seed)
+    # A traced run drives the sequence twice (untraced, then traced), so
+    # it takes the fewest blocks to stay well within a run's time limit.
+    blocks = wl.MIN_BLOCKS if args.trace else wl.block_count(args.seconds)
+    sequence = wl.job_sequence(args.seed, blocks)
     off = bc.Tracer("serve", enabled=False)
     bc.OUT_DIR.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=bc.OUT_DIR) as run_dir:
         if not args.trace:
             daemons = []
-            times = []
+            scaled, measured = [], []
             try:
                 for _ in range(SETUP_REPEATS):
                     _stop_all(daemons)
+                    before = calibrator.calibrate()
                     start = time.perf_counter()
                     daemons.append(wl.setup_daemon(run_dir, off))
-                    times.append(time.perf_counter() - start)
-                setup_s = statistics.median(times)
-                loop = wl.closed_loop(daemons[-1], sequence, args.seconds, off)
+                    seconds = time.perf_counter() - start
+                    after = calibrator.calibrate()
+                    measured.append(seconds)
+                    scaled.append(
+                        seconds * hostspeed.scale(before, after).wall
+                    )
+                loop = wl.closed_loop(daemons[-1], sequence, off, calibrator)
             finally:
                 _stop_all(daemons)
             ok = wl.check_records(checker, expected, loop)
-            metrics, attempted, failed = wl.end_to_end(loop, ok, setup_s)
-            return metrics, attempted, failed, None
+            metrics, attempted, failed = wl.end_to_end(
+                loop, ok, statistics.median(scaled)
+            )
+            extra = {"measured_metrics": wl.end_to_end(
+                loop, ok, statistics.median(measured), scaled=False
+            )[0]}
+            return metrics, attempted, failed, None, extra
         daemon = wl.setup_daemon(run_dir, off)
         try:
-            plain = wl.closed_loop(daemon, sequence, args.seconds, off)
+            plain = wl.closed_loop(daemon, sequence, off)
         finally:
             daemon.stop()
         tracer = bc.Tracer("serve", enabled=True)
         spans_path = os.path.join(run_dir, "daemon-spans.json")
         daemon = wl.setup_daemon(run_dir, off, traced_spans=spans_path)
         try:
-            traced = wl.closed_loop(daemon, sequence, args.seconds, tracer,
-                                    jobs=len(plain["records"]))
+            traced = wl.closed_loop(daemon, sequence, tracer)
             cache = daemon.client.cache_stats()
         finally:
             daemon.stop()
@@ -220,33 +254,31 @@ def run_serve(args, checker, expected):
     ok = wl.check_records(checker, expected, plain)
     ok += wl.check_records(checker, expected, traced)
     attempted = plain["submitted"] + traced["submitted"]
-    rows, wall, spans = serve_table(traced, daemon_spans, tracer.spans)
+    views = wl.done_views(traced)
+    rows, wall, spans = serve_table(views, daemon_spans, tracer.spans)
     overhead = traced["wall_s"] - plain["wall_s"]
     bc.print_layer_table("serve (job-seconds)", rows, wall, overhead)
     values = layer_values(rows, wall, spans, overhead)
-    views = [(s, v) for s, v in traced["records"]
-             if v.get("state") == "done"]
     submit = [v["submit_s"] for _, v in views]
     queue_wait = [v["queue_seconds"] for _, v in views]
-    values["serve.submit_s.p50"] = bc.percentile(submit, 50)
-    values["serve.submit_s.p90"] = bc.tail_percentile(submit, 90)
-    values["serve.queue_wait_s.p50"] = bc.percentile(queue_wait, 50)
-    values["serve.queue_wait_s.p90"] = bc.tail_percentile(queue_wait, 90)
+    values["serve.submit_s.p50"] = statistics.median(submit)
+    values["serve.submit_s.p90"] = bc.percentile(submit, 90)
+    values["serve.queue_wait_s.p50"] = statistics.median(queue_wait)
+    values["serve.queue_wait_s.p90"] = bc.percentile(queue_wait, 90)
     for kind in ("profile-cold", "profile-warm", "select", "simulate"):
         runs = [v["run_seconds"] for s, v in views if wl.job_kind(s) == kind]
-        values[f"serve.run_s.{kind}.p50"] = bc.percentile(runs, 50)
+        values[f"serve.run_s.{kind}.p50"] = statistics.median(runs)
     values["serve.rejected"] = float(
-        sum(v.get("rejected", 0) for _, v in traced["records"])
+        sum(v.get("rejected", 0) for _, _, v in traced["records"])
     )
     values["parallel.cache_hit_frac"] = cache["hit_rate"]
-    return values, attempted, attempted - ok, spans
+    return values, attempted, attempted - ok, spans, None
 
 
-def serve_table(traced, daemon_spans, client_spans):
+def serve_table(done_views, daemon_spans, client_spans):
     """Job-seconds of the traced jobs split into queue wait, daemon layer
     self times (joined by trace id) and a residual."""
-    views = {v.get("trace_id"): v for _, v in traced["records"]
-             if v.get("state") == "done"}
+    views = {v.get("trace_id"): v for _, v in done_views}
     job_spans = [s for s in daemon_spans if s["trace_id"] in views]
     own = bc.self_times(job_spans)
     rows: dict[str, float] = {
@@ -268,6 +300,10 @@ def main(argv: list[str]) -> int:
     args = parse_args(argv)
     # A terminated run still stops the daemons it started (finally blocks).
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
+    # Daemons stop on SIGINT.  A shell starting this in the background
+    # leaves SIGINT ignored, and children would inherit that; a handled
+    # signal is reset to the default in them instead.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     if not (bc.SRC_DIR / "repro").is_dir():
         bc.fail(f"no program sources at {bc.SRC_DIR / 'repro'}")
     steal0 = bc.steal_ticks()
@@ -278,8 +314,11 @@ def main(argv: list[str]) -> int:
     expected = bc.load_expected()
     checker = bc.Checker()
     runner = {"explore": run_explore, "serve": run_serve}[args.workload]
-    values, attempted, failed, spans = runner(
-        args, checker, expected[args.workload]
+    # Only the end-to-end runs calibrate: traced runs report per-layer
+    # times as measured.
+    calibrator = hostspeed.Calibrator()
+    values, attempted, failed, spans, extra = runner(
+        args, checker, expected[args.workload], calibrator
     )
     declared = bc.declared_metrics("per_layer" if args.trace else "end_to_end")
     if set(values) != set(declared):
@@ -289,8 +328,10 @@ def main(argv: list[str]) -> int:
                for name, unit in declared.items()}
     context = bc.run_context(args.seed)
     context["steal_ticks"] = bc.steal_ticks() - steal0
+    if calibrator.history:
+        context.update(calibrator.medians())
     bc.emit(args.workload, args.seed, bool(args.trace), context, checker,
-            attempted, failed, metrics, spans)
+            attempted, failed, metrics, spans, extra)
     return 0
 
 
