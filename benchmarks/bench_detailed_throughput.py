@@ -1,20 +1,19 @@
-"""Detailed-simulation throughput: vectorized and batched vs reference.
+"""Detailed-simulation throughput: batched vs reference.
 
-Measures stepped dynamic-instructions-per-second for all three engines
-over a representative app subset, plus the vectorized engine's memo hit
-rates and the batched engine's epoch/batch-width statistics.  Timing is
-min-of-rounds (the machine is noisy; the minimum is the best estimate
-of the code's actual cost), and results are written both as a rendered
-table and as machine-readable JSON under ``benchmarks/results/``.
+Measures stepped dynamic-instructions-per-second for both engines over
+a representative app subset, plus the batched engine's epoch-memo hit
+rates and epoch/batch-width statistics.  Timing is min-of-rounds (the
+machine is noisy; the minimum is the best estimate of the code's actual
+cost), and results are written both as a rendered table and as
+machine-readable JSON under ``benchmarks/results/``.
 
 The engines are bit-identical (tests/test_engine_identity.py); this
 benchmark quantifies what that identity buys.  The target is a >= 10x
-aggregate speedup for the vectorized engine; the batched engine must
-additionally clear the ``SPEEDUP_FLOOR`` on every multi-dispatch
-workload (its cross-dispatch epoch memo and merged streams are the
-point of the engine).  Whatever is measured is reported honestly -- the
-ratios grow with ``REPRO_BENCH_SCALE`` because larger invocation counts
-amortize per-dispatch setup and raise memo hit rates.
+aggregate speedup for the batched engine, which must also clear the
+``SPEEDUP_FLOOR`` on every app individually.  Whatever is measured is
+reported honestly -- the ratios grow with ``REPRO_BENCH_SCALE`` because
+larger invocation counts amortize per-dispatch setup and raise memo hit
+rates.
 """
 
 import time
@@ -37,14 +36,14 @@ THROUGHPUT_APPS = (
     "sandra-crypt-aes128",
     "sonyvegas-proj-r1",
 )
-ENGINES = ("reference", "vectorized", "batched")
+ENGINES = ("reference", "batched")
 CACHE = CacheConfig(size_bytes=256 * 1024)
 ROUNDS = 3
 SPEEDUP_TARGET = 10.0
 #: Hard floor for regression detection; deliberately below the target so
 #: scheduler noise and small scales do not flake the harness.  The
 #: batched engine must clear it on every app individually -- the
-#: "multi-dispatch workloads run >= 3x faster than reference" guarantee.
+#: "workloads run >= 3x faster than reference" guarantee.
 SPEEDUP_FLOOR = 3.0
 
 
@@ -67,35 +66,27 @@ def test_detailed_throughput(benchmark, suite_apps, suite_workloads):
             app, log = apps[name], suite_workloads[name].log
             walls = {engine: [] for engine in ENGINES}
             covered = {}
-            memo = {}
-            batch = {}
+            sims = {}
             for _ in range(ROUNDS):
                 for engine in ENGINES:
-                    wall, instr, sim = _run_engine(app, log, engine)
+                    wall, covered[engine], sims[engine] = _run_engine(
+                        app, log, engine
+                    )
                     walls[engine].append(wall)
-                    covered[engine] = instr
-                    if engine == "vectorized":
-                        lookups = sim.memo_hits + sim.memo_misses
-                        memo[name] = (
-                            sim.memo_hits / lookups if lookups else 0.0
-                        )
-                    elif engine == "batched":
-                        batch[name] = sim.batch_stats()
-            assert (
-                covered["reference"]
-                == covered["vectorized"]
-                == covered["batched"]
-            )
+            batch = sims["batched"].batch_stats()
+            lookups = batch["epoch_memo_hits"] + batch["epoch_memo_misses"]
+            assert covered["reference"] == covered["batched"]
             measurements.append(
                 {
                     "app": name,
                     "engines": list(ENGINES),
-                    "instructions": covered["vectorized"],
+                    "instructions": covered["batched"],
                     "reference_seconds": min(walls["reference"]),
-                    "vectorized_seconds": min(walls["vectorized"]),
                     "batched_seconds": min(walls["batched"]),
-                    "memo_hit_rate": memo[name],
-                    "batch": batch[name],
+                    "memo_hit_rate": (
+                        batch["epoch_memo_hits"] / lookups if lookups else 0.0
+                    ),
+                    "batch": batch,
                 }
             )
         return measurements
@@ -103,50 +94,39 @@ def test_detailed_throughput(benchmark, suite_apps, suite_workloads):
     measurements = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     rows = []
-    total_ref = total_vec = total_bat = total_instr = 0.0
+    total_ref = total_bat = total_instr = 0.0
     for m in measurements:
         ref_ips = m["instructions"] / m["reference_seconds"]
-        vec_ips = m["instructions"] / m["vectorized_seconds"]
         bat_ips = m["instructions"] / m["batched_seconds"]
-        speedup = m["reference_seconds"] / m["vectorized_seconds"]
-        batched_speedup = m["reference_seconds"] / m["batched_seconds"]
+        speedup = m["reference_seconds"] / m["batched_seconds"]
         m["reference_ips"] = ref_ips
-        m["vectorized_ips"] = vec_ips
         m["batched_ips"] = bat_ips
         m["speedup"] = speedup
-        m["batched_speedup"] = batched_speedup
         total_ref += m["reference_seconds"]
-        total_vec += m["vectorized_seconds"]
         total_bat += m["batched_seconds"]
         total_instr += m["instructions"]
         rows.append(
             (
                 m["app"],
                 f"{ref_ips / 1e6:.1f}M",
-                f"{vec_ips / 1e6:.1f}M",
                 f"{bat_ips / 1e6:.1f}M",
                 f"{speedup:.1f}x",
-                f"{batched_speedup:.1f}x",
                 f"{m['batch']['mean_width']:.1f}",
                 f"{m['memo_hit_rate'] * 100.0:.0f}%",
             )
         )
-        assert speedup > 1.0, f"{m['app']}: vectorized engine is slower"
-        assert batched_speedup >= SPEEDUP_FLOOR, (
-            f"{m['app']}: batched engine speedup {batched_speedup:.1f}x "
+        assert speedup >= SPEEDUP_FLOOR, (
+            f"{m['app']}: batched engine speedup {speedup:.1f}x "
             f"fell below the {SPEEDUP_FLOOR:.0f}x floor"
         )
 
-    aggregate = total_ref / total_vec
-    batched_aggregate = total_ref / total_bat
+    aggregate = total_ref / total_bat
     rows.append(
         (
             "aggregate",
             f"{total_instr / total_ref / 1e6:.1f}M",
-            f"{total_instr / total_vec / 1e6:.1f}M",
             f"{total_instr / total_bat / 1e6:.1f}M",
             f"{aggregate:.1f}x",
-            f"{batched_aggregate:.1f}x",
             "",
             "",
         )
@@ -159,7 +139,6 @@ def test_detailed_throughput(benchmark, suite_apps, suite_workloads):
         "engines": list(ENGINES),
         "apps": measurements,
         "aggregate_speedup": aggregate,
-        "batched_aggregate_speedup": batched_aggregate,
         "speedup_target": SPEEDUP_TARGET,
         "target_met": aggregate >= SPEEDUP_TARGET,
     }
@@ -167,12 +146,11 @@ def test_detailed_throughput(benchmark, suite_apps, suite_workloads):
     save_result(
         "detailed_throughput",
         render_table(
-            "Detailed-simulation throughput: reference vs vectorized vs "
-            f"batched (min of {ROUNDS} rounds; {SPEEDUP_TARGET:.0f}x "
-            f"target {verdict}: {aggregate:.1f}x vectorized / "
-            f"{batched_aggregate:.1f}x batched aggregate)",
-            ["Application", "Ref instr/s", "Vec instr/s", "Bat instr/s",
-             "Vec speedup", "Bat speedup", "Epoch width", "Memo hits"],
+            "Detailed-simulation throughput: reference vs batched "
+            f"(min of {ROUNDS} rounds; {SPEEDUP_TARGET:.0f}x target "
+            f"{verdict}: {aggregate:.1f}x aggregate)",
+            ["Application", "Ref instr/s", "Bat instr/s", "Speedup",
+             "Epoch width", "Epoch memo hits"],
             rows,
         ),
         data=payload,
@@ -180,8 +158,4 @@ def test_detailed_throughput(benchmark, suite_apps, suite_workloads):
     assert aggregate >= SPEEDUP_FLOOR, (
         f"aggregate speedup {aggregate:.1f}x fell below the "
         f"{SPEEDUP_FLOOR:.0f}x regression floor"
-    )
-    assert batched_aggregate >= SPEEDUP_FLOOR, (
-        f"batched aggregate speedup {batched_aggregate:.1f}x fell below "
-        f"the {SPEEDUP_FLOOR:.0f}x regression floor"
     )

@@ -55,23 +55,13 @@ def gate_scale() -> float:
 
 
 def measure(scale: float) -> list[obs_bench.BenchMetric]:
-    """The two headline metrics, min-of-``ROUNDS`` each."""
+    """The headline metrics, min-of-``ROUNDS`` each."""
     app = load_app(GATE_APP, scale=scale)
     workload = profile_workload(app, HD4000, 0)
     indices = list(range(len(workload.log.invocations)))
 
-    sim_walls = []
-    instructions = 0
-    for _ in range(ROUNDS):
-        simulator = DetailedGPUSimulator(HD4000, GATE_CACHE)
-        start = time.perf_counter()
-        _simulate_invocations(
-            simulator, app.sources, workload.log, indices, seed=0
-        )
-        sim_walls.append(time.perf_counter() - start)
-        instructions = simulator.total_simulated_instructions
-
     batched_walls = []
+    instructions = 0
     for _ in range(ROUNDS):
         simulator = DetailedGPUSimulator(HD4000, GATE_CACHE, engine="batched")
         start = time.perf_counter()
@@ -79,11 +69,14 @@ def measure(scale: float) -> list[obs_bench.BenchMetric]:
             simulator, app.sources, workload.log, indices, seed=0
         )
         batched_walls.append(time.perf_counter() - start)
+        instructions = simulator.total_simulated_instructions
 
     # The wave64 provider's default device: same app, 64-wide wavefront
     # threading (fewer, wider hardware threads) and 128-byte cache
     # lines, so this tracks simulation throughput under the non-GEN
     # threading model.  Needs its own profile: thread counts differ.
+    # Runs the default engine, ``batched``; baselines written before
+    # the per-dispatch engine was retired measured that engine here.
     w64_device = resolve_device("wave64:w64-cu28")
     w64_workload = profile_workload(app, w64_device, 0)
     w64_indices = list(range(len(w64_workload.log.invocations)))
@@ -107,12 +100,6 @@ def measure(scale: float) -> list[obs_bench.BenchMetric]:
     from bench_serve_load import measure_serve_load
 
     return [
-        obs_bench.BenchMetric(
-            name="detailed_sim.instr_per_second",
-            value=instructions / min(sim_walls),
-            unit="instr/s",
-            direction="higher",
-        ),
         obs_bench.BenchMetric(
             name="detailed_sim.batched_instr_per_second",
             value=instructions / min(batched_walls),

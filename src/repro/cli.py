@@ -54,6 +54,7 @@ from repro.sampling import (
     profile_workload,
     select_simpoints,
 )
+from repro.simulation.detailed import ENGINES
 from repro.workloads import SUITE_NAMES, SUITE_SPECS, load_app, load_suite
 
 _SCHEMES = {s.value: s for s in IntervalScheme}
@@ -90,12 +91,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--seed", type=int, default=0, help="trial seed")
     parser.add_argument(
-        "--sim-engine", choices=("vectorized", "batched", "reference"),
-        default="vectorized",
-        help="detailed-simulation engine: the vectorized numpy engine "
-        "(default), the cross-dispatch batched scheduler, or the scalar "
-        "reference interpreter; all produce bit-identical results "
-        "(see docs/performance.md)",
+        "--sim-engine", choices=ENGINES, default="batched",
+        help="detailed-simulation engine: the cross-dispatch batched "
+        "engine (default) or the scalar reference interpreter; both "
+        "produce bit-identical results (see docs/performance.md)",
     )
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
@@ -248,8 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "via $REPRO_PROFILE_CACHE)",
     )
     p.add_argument(
-        "--sim-engine", choices=("vectorized", "batched", "reference"),
-        default="vectorized",
+        "--sim-engine", choices=ENGINES, default="batched",
     )
     p.add_argument(
         "--faults", default=None, metavar="SPEC",

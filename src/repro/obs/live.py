@@ -441,13 +441,12 @@ class LiveHub:
         accesses = counters.get("gpu.cache.accesses", 0.0)
         if accesses > 0:
             out["gpu_cache"] = counters.get("gpu.cache.hits", 0.0) / accesses
-        memo_total = counters.get("simulation.memo_hits", 0.0) + counters.get(
-            "simulation.memo_misses", 0.0
+        memo_hits = counters.get("simulation.epoch_memo_hits", 0.0)
+        memo_total = memo_hits + counters.get(
+            "simulation.epoch_memo_misses", 0.0
         )
         if memo_total > 0:
-            out["invocation_memo"] = (
-                counters.get("simulation.memo_hits", 0.0) / memo_total
-            )
+            out["simulation_memo"] = memo_hits / memo_total
         pc_total = counters.get(
             "sampling.profile_cache.hits", 0.0
         ) + counters.get("sampling.profile_cache.misses", 0.0)

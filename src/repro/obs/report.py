@@ -263,14 +263,14 @@ def _ratio(counters, hits_name: str, total_name: str) -> float | None:
 
 def _hit_rates_section(tm: Telemetry) -> str:
     counters = tm.counters
-    memo_hits = counters.value("simulation.memo_hits")
-    memo_total = memo_hits + counters.value("simulation.memo_misses")
+    memo_hits = counters.value("simulation.epoch_memo_hits")
+    memo_total = memo_hits + counters.value("simulation.epoch_memo_misses")
     pc_hits = counters.value("sampling.profile_cache.hits")
     pc_total = pc_hits + counters.value("sampling.profile_cache.misses")
     candidates = (
         ("GPU cache (sim)",
          _ratio(counters, "gpu.cache.hits", "gpu.cache.accesses")),
-        ("Invocation memo",
+        ("Simulation memo",
          memo_hits / memo_total if memo_total else None),
         ("Profile cache",
          pc_hits / pc_total if pc_total else None),

@@ -56,7 +56,7 @@ class ServeDaemon:
         workers: int = DEFAULT_WORKERS,
         capacity: int = DEFAULT_CAPACITY,
         cache: ProfileCache | None = None,
-        sim_engine: str = "vectorized",
+        sim_engine: str = "batched",
         ledger: "RunLedger | None" = None,
     ) -> None:
         self.host = host

@@ -48,7 +48,7 @@ def execute_job(
     spec: JobSpec,
     cancel: threading.Event | None = None,
     cache: ProfileCache | None = None,
-    sim_engine: str = "vectorized",
+    sim_engine: str = "batched",
 ) -> dict[str, Any]:
     """Run one job to completion; returns a JSON-scalar result dict."""
     tm = telemetry.get()

@@ -17,23 +17,22 @@ Two engines produce **bit-identical** results:
   loop and walks the cache address-by-address -- deliberately *detailed
   where it matters for cost*, which makes it orders of magnitude slower
   per instruction than the native-execution model in
-  :mod:`repro.gpu.execution`.
-* ``engine="vectorized"`` (the default) executes the same model as
-  batched array operations: non-send work collapses to one dot product
-  over the kernel's precomputed per-block footprints, each send's
-  address stream runs through the vectorized cache in one call, repeated
-  block executions fast-forward once the cache reaches a steady state,
-  and whole invocations are memoized on ``(kernel, args, global work
-  size, cache state, RNG state)``.
-* ``engine="batched"`` extends the vectorized engine *across*
-  dispatches: a synchronization epoch's invocations
-  (:mod:`repro.simulation.dispatch_graph`) run as one unit --
+  :mod:`repro.gpu.execution`.  It is the behaviour oracle.
+* ``engine="batched"`` (the default) executes the same model as array
+  operations: non-send work collapses to one dot product over the
+  kernel's precomputed per-block footprints, address streams run through
+  :meth:`~repro.gpu.cache.CacheSimulator.access_stream` in as few calls
+  as possible, and repeated block executions fast-forward once the
+  cache reaches a steady state.  It simulates a synchronization epoch's
+  invocations (:mod:`repro.simulation.dispatch_graph`) as one unit --
   their pending address streams merge into shared cache calls (with
-  per-dispatch stats recovered through stream attribution), and whole
-  epochs are memoized on the per-dispatch resolved block counts plus
-  the epoch-entry cache signature.  Keying on resolved *counts* rather
-  than raw argument values means host-data drift that rounds away in
-  the trip counts cannot defeat the memo.
+  per-dispatch stats recovered through stream attribution) -- and
+  memoizes whole epochs on the per-dispatch resolved block counts plus
+  the epoch-entry cache signature.  A lone
+  :meth:`DetailedGPUSimulator.simulate` call is an epoch of one, so the
+  same memo covers it.  Keying on resolved *counts* rather than raw
+  argument values means host-data drift that rounds away in the trip
+  counts cannot defeat the memo.
 
 Bit-identity across engines rests on two contracts.  Issue-cycle costs
 are integer-valued (``Opcode.issue_cycles`` is an int, width scaling is
@@ -48,7 +47,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import time
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -73,7 +71,7 @@ MISS_LATENCY_CYCLES = 320.0
 LATENCY_HIDING = 0.75
 
 #: Supported simulation engines.
-ENGINES = ("vectorized", "batched", "reference")
+ENGINES = ("batched", "reference")
 
 #: Chunk of block executions drawn per RNG call when a block has RANDOM
 #: sends (no steady state to fast-forward to).
@@ -93,7 +91,7 @@ _FLUSH_ADDRESSES = 16384
 _TILE_EXECUTIONS = 8
 _TILE_ADDRESSES = 4096
 
-#: Invocation-memo capacity; beyond it the oldest entry is dropped.
+#: Epoch-memo capacity; beyond it the oldest entry is dropped.
 _MEMO_CAPACITY = 1024
 
 
@@ -128,17 +126,6 @@ class SimulatedDispatch:
 
 
 @dataclasses.dataclass
-class _MemoEntry:
-    """Everything needed to replay one memoized invocation."""
-
-    result: SimulatedDispatch
-    stats_delta: CacheStats
-    end_state: CacheState
-    end_sig: bytes  #: ``end_state.signature()``, precomputed
-    rng_end_state: dict | None  #: None for deterministic kernels
-
-
-@dataclasses.dataclass
 class _EpochMemoEntry:
     """Everything needed to replay one memoized epoch of dispatches.
 
@@ -149,7 +136,7 @@ class _EpochMemoEntry:
     results: list[SimulatedDispatch]
     total_delta: CacheStats
     end_state: CacheState
-    end_sig: bytes
+    end_sig: bytes  #: ``end_state.signature()``, precomputed
     stepped: int  #: sum of the results' simulated_instructions
 
 
@@ -160,7 +147,7 @@ class DetailedGPUSimulator:
         self,
         device: DeviceSpec | str,
         cache_config: CacheConfig | None = None,
-        engine: str = "vectorized",
+        engine: str = "batched",
         memoize: bool = True,
     ) -> None:
         if engine not in ENGINES:
@@ -183,15 +170,13 @@ class DetailedGPUSimulator:
         )
         #: Total instructions stepped over this simulator's lifetime --
         #: the cost metric behind "simulation is ~10^6x slower".  The
-        #: vectorized engine counts the instructions its batches *cover*
-        #: so both engines report identical totals.
+        #: batched engine counts the instructions its batches and memo
+        #: replays *cover*, so both engines report identical totals.
         self.total_simulated_instructions = 0
-        #: Invocation / epoch memoization (vectorized + batched engines).
-        self.memoize = memoize and engine in ("vectorized", "batched")
-        self._memo: dict[tuple, _MemoEntry] = {}
         #: Epoch memoization (batched engine): keyed on each dispatch's
         #: *resolved block counts* rather than raw argument values, so
         #: host-data drift that rounds to the same trip counts still hits.
+        self.memoize = memoize and engine == "batched"
         self._epoch_memo: dict[tuple, _EpochMemoEntry] = {}
         #: Resolved per-thread counts of jitter-free kernels, keyed on
         #: (kernel name, trip-argument values) -- the inputs counts are a
@@ -213,8 +198,6 @@ class DetailedGPUSimulator:
         #: the cache arrays at all.
         self._block_memo: dict[int, dict[bytes, tuple]] = {}
         self._block_memo_entries = 0
-        self.memo_hits = 0
-        self.memo_misses = 0
         self.epoch_memo_hits = 0
         self.epoch_memo_misses = 0
         #: Instructions whose stepping was skipped via memo replay.
@@ -239,39 +222,22 @@ class DetailedGPUSimulator:
             f"simulate.{binary.name}", category="simulation",
             global_work_size=global_work_size,
         ) as span:
-            result = self._dispatch(binary, arg_values, global_work_size, rng)
+            if self.engine == "reference":
+                result = self._simulate_reference(
+                    binary, arg_values, global_work_size, rng
+                )
+            else:
+                # A lone dispatch is an epoch of one: the same streaming
+                # walk, and the same counts-keyed epoch memo.
+                result = self._epoch_dispatch(
+                    [(binary, arg_values, global_work_size)], rng
+                )[0]
             span.annotate(stepped=result.simulated_instructions)
         if tm.enabled:
             tm.inc("simulation.stepped_instructions",
                    result.simulated_instructions)
             tm.inc("simulation.simulated_invocations")
         return result
-
-    # -- memoization --------------------------------------------------------
-
-    def _memo_key(
-        self,
-        binary: KernelBinary,
-        arg_values: Mapping[str, float],
-        global_work_size: int,
-        rng: np.random.Generator,
-    ) -> tuple:
-        """Everything the invocation's outcome depends on.
-
-        The cache enters through its canonical-state signature (recency
-        *order*, not absolute clocks); the RNG enters only for kernels
-        that actually consume it (jittered trips or RANDOM sends).
-        """
-        rng_token: str | None = None
-        if not binary.is_deterministic:
-            rng_token = repr(rng.bit_generator.state)
-        return (
-            binary.name,
-            tuple(sorted(arg_values.items())),
-            global_work_size,
-            self._cache_signature(),
-            rng_token,
-        )
 
     def _cache_signature(self) -> bytes:
         """The cache's canonical-state signature, mutation-cached."""
@@ -281,91 +247,6 @@ class DetailedGPUSimulator:
         sig = self.cache.canonical_state().signature()
         self._state_sig = (self.cache.mutations, sig)
         return sig
-
-    def _dispatch(
-        self,
-        binary: KernelBinary,
-        arg_values: Mapping[str, float],
-        global_work_size: int,
-        rng: np.random.Generator,
-    ) -> SimulatedDispatch:
-        if self.engine == "reference":
-            return self._simulate_reference(
-                binary, arg_values, global_work_size, rng
-            )
-        if self.engine == "batched":
-            # A lone simulate() call is an epoch of one: same streaming
-            # walk, but the memo keys on resolved counts, not raw args.
-            return self._epoch_dispatch(
-                [(binary, arg_values, global_work_size)], rng
-            )[0]
-        # Memoizing a non-deterministic invocation is pure overhead: its
-        # key includes the RNG state, which never recurs.
-        if not self.memoize or not binary.is_deterministic:
-            return self._simulate_vectorized(
-                binary, arg_values, global_work_size, rng
-            )
-
-        tm = telemetry.get()
-        if tm.enabled:
-            lookup_start = time.perf_counter()
-            key = self._memo_key(binary, arg_values, global_work_size, rng)
-            entry = self._memo.get(key)
-            tm.observe_hist(
-                "simulation.memo_lookup_seconds",
-                time.perf_counter() - lookup_start,
-                "s",
-            )
-        else:
-            key = self._memo_key(binary, arg_values, global_work_size, rng)
-            entry = self._memo.get(key)
-        if entry is not None:
-            self.memo_hits += 1
-            self.memo_stepped_avoided += entry.result.simulated_instructions
-            self.cache.restore_state(
-                entry.end_state, entry.stats_delta.accesses
-            )
-            self.cache.stats = self.cache.stats.merge(entry.stats_delta)
-            # Restoring a canonical state reproduces its signature.
-            self._state_sig = (self.cache.mutations, entry.end_sig)
-            if entry.rng_end_state is not None:
-                rng.bit_generator.state = entry.rng_end_state
-            self.total_simulated_instructions += (
-                entry.result.simulated_instructions
-            )
-            if tm.enabled:
-                tm.inc("simulation.memo_hits")
-                tm.inc(
-                    "simulation.memo_stepped_avoided",
-                    entry.result.simulated_instructions,
-                )
-            return dataclasses.replace(
-                entry.result, cache=entry.stats_delta.copy()
-            )
-
-        self.memo_misses += 1
-        if tm.enabled:
-            tm.inc("simulation.memo_misses")
-        stats_before = self.cache.stats
-        result = self._simulate_vectorized(
-            binary, arg_values, global_work_size, rng
-        )
-        if len(self._memo) >= _MEMO_CAPACITY:
-            self._memo.pop(next(iter(self._memo)))
-        end_state = self.cache.canonical_state()
-        end_sig = end_state.signature()
-        self._state_sig = (self.cache.mutations, end_sig)
-        self._memo[key] = _MemoEntry(
-            result=dataclasses.replace(result, cache=result.cache.copy()),
-            stats_delta=self.cache.stats.minus(stats_before),
-            end_state=end_state,
-            end_sig=end_sig,
-            rng_end_state=(
-                None if binary.is_deterministic
-                else dict(rng.bit_generator.state)
-            ),
-        )
-        return result
 
     # -- batched (cross-dispatch) engine ------------------------------------
 
@@ -386,12 +267,13 @@ class DetailedGPUSimulator:
         block counts (only valid for jitter-free kernels, e.g. resolved
         ahead of time by a worker pool); ``None`` entries resolve here.
 
-        On non-batched engines this degrades to a per-invocation loop.
+        On the reference engine this degrades to a per-invocation loop
+        (and ``counts`` is ignored).
         """
         items = list(items)
         if not items:
             return []
-        if self.engine != "batched":
+        if self.engine == "reference":
             return [
                 self.simulate(binary, arg_values, gws, rng)
                 for binary, arg_values, gws in items
@@ -413,8 +295,9 @@ class DetailedGPUSimulator:
             "simulate.epoch", category="simulation", dispatches=width
         ) as span:
             results = self._epoch_dispatch(items, rng, counts)
-            stepped = sum(r.simulated_instructions for r in results)
-            span.annotate(stepped=stepped)
+            if tm.enabled:
+                stepped = sum(r.simulated_instructions for r in results)
+                span.annotate(stepped=stepped)
         if tm.enabled:
             tm.inc("simulation.epoch_count")
             tm.inc("simulation.simulated_invocations", width)
@@ -546,21 +429,25 @@ class DetailedGPUSimulator:
         rng: np.random.Generator,
         counts: Sequence[np.ndarray | None] | None = None,
     ) -> list[SimulatedDispatch]:
-        """The vectorized walk with pending streams shared epoch-wide.
+        """The array walk, with pending streams shared epoch-wide.
 
         Pending pieces carry their owner dispatch's index; a flush merges
         them into one cache call and recovers each owner's exact stats
         slice through stream attribution
-        (:meth:`repro.gpu.cache.StreamOutcome.slice_stats`).  RNG draws
-        still happen strictly in dispatch order -- jitter resolution,
-        then the invocation's fused pool -- so generator state evolves
-        exactly as in per-invocation simulation.
+        (:meth:`repro.gpu.cache.StreamOutcome.slice_stats`).  A
+        single-dispatch epoch skips attribution: its delta is the cache's
+        whole change.  RNG draws still happen strictly in dispatch order
+        -- jitter resolution, then the invocation's fused pool -- so
+        generator state evolves exactly as in per-invocation simulation.
         """
         tm = telemetry.get()
         log = obs_events.get()
-        n = len(items)
-        term_pieces: list[list[Iterable[float]]] = [[] for _ in range(n)]
-        owner_stats: list[list[CacheStats]] = [[] for _ in range(n)]
+        single = len(items) == 1
+        stats_before = self.cache.stats
+        # Per dispatch: latency terms as ordered pieces (lists/iterators),
+        # flattened once into fsum, and its attributed cache-stats slices.
+        term_pieces: list[list[Iterable[float]]] = [[] for _ in items]
+        owner_stats: list[list[CacheStats]] = [[] for _ in items]
         pending: list[tuple] = []
         pending_size = 0
 
@@ -568,8 +455,9 @@ class DetailedGPUSimulator:
             nonlocal pending, pending_size
             if not pending:
                 return
-            owners = {piece[0] for piece in pending}
-            multi_owner = len(owners) > 1
+            # Dispatches are walked in order, so pending pieces are grouped
+            # by owner, in owner order.
+            multi_owner = pending[0][0] != pending[-1][0]
             if len(pending) == 1:
                 _, addresses, writes, _segments, _lens = pending[0]
             else:
@@ -578,35 +466,39 @@ class DetailedGPUSimulator:
                 if multi_owner and log.enabled:
                     log.debug(
                         "simulation.batch",
-                        owners=len(owners),
+                        owners=len({piece[0] for piece in pending}),
                         pieces=len(pending),
                         addresses=int(addresses.size),
                     )
             outcome = self.cache.access_stream(
                 addresses, writes, attribute=multi_owner
             )
+            # One stats slice per run of same-owner pieces.
             offset = 0
+            run_owner, run_start = pending[0][0], 0
             for owner, addrs, _w, segments, lens_f in pending:
+                if owner != run_owner:
+                    owner_stats[run_owner].append(
+                        outcome.slice_stats(run_start, offset)
+                    )
+                    run_owner, run_start = owner, offset
                 size = addrs.size
                 term_pieces[owner].append(
                     self._segment_terms(
                         outcome.hit[offset:offset + size], segments, lens_f
                     )
                 )
-                if multi_owner:
-                    owner_stats[owner].append(
-                        outcome.slice_stats(offset, offset + size)
-                    )
                 offset += size
-            if not multi_owner:
-                owner_stats[pending[0][0]].append(outcome.to_stats())
+            if multi_owner:
+                owner_stats[run_owner].append(
+                    outcome.slice_stats(run_start, offset)
+                )
+            elif not single:
+                owner_stats[run_owner].append(outcome.to_stats())
             pending = []
             pending_size = 0
 
-        per_thread_list: list[np.ndarray] = []
-        issue_list: list[float] = []
-        stepped_list: list[int] = []
-        n_threads_list: list[int] = []
+        walked: list[tuple] = []
         for i, (binary, arg_values, global_work_size) in enumerate(items):
             n_threads = max(
                 1, -(-global_work_size
@@ -618,13 +510,22 @@ class DetailedGPUSimulator:
                 per_thread = self._resolved_counts(binary, arg_values, rng)
             arrays = binary.arrays
             plan = binary.send_plan
+            # All non-send pipe occupancy in one dot product.  Issue
+            # cycles are integer-valued floats, so this is exact and
+            # equals the reference engine's per-instruction running sum.
             issue_cycles = float(per_thread @ arrays.issue_cycles)
             stepped = int(per_thread @ arrays.instruction_counts)
             if tm.enabled:
+                # Both engines observe the same per-block products, so
+                # the histogram is engine-independent.
                 tm.histogram(
                     "simulation.block_steps", "instructions"
                 ).observe_array(per_thread * arrays.instruction_counts)
 
+            # With a single element grid behind every RANDOM site, the
+            # whole invocation's random indices come from one fused
+            # generator call (bit-identical to the reference's per-send
+            # draws); each random block then slices its span off the pool.
             pool: np.ndarray | None = None
             pool_cursor = 0
             element = plan.uniform_random_bytes
@@ -662,6 +563,8 @@ class DetailedGPUSimulator:
                         if pending_size >= _FLUSH_ADDRESSES:
                             flush()
                 elif executions == 1:
+                    # A single execution has no steady state to detect;
+                    # its fixed template stream joins the merged batch.
                     addresses, writes, segments, lens_f, _ = (
                         self._det_template(sites)
                     )
@@ -676,6 +579,12 @@ class DetailedGPUSimulator:
                     <= _TILE_ADDRESSES
                     and self._block_memo_unpromising(sites)
                 ):
+                    # Small repeated blocks whose fixed-point memo keeps
+                    # missing (interleaved random streams churn their
+                    # sets' signatures): tiling the template -- executions
+                    # back to back, exactly the stream the steady-state
+                    # path would run -- into the merged batch beats
+                    # forcing a flush.
                     piece = self._tiled_det_piece(sites, executions)
                     pending.append((i, *piece))
                     pending_size += piece[0].size
@@ -683,32 +592,35 @@ class DetailedGPUSimulator:
                         flush()
                 else:
                     # The steady-state path reads live cache state, so
-                    # the shared pending batch must land first; the block
-                    # run's stats are snapshot-attributed to this owner.
+                    # the shared pending batch must land first; in a
+                    # multi-dispatch epoch the block run's stats are
+                    # snapshot-attributed to this owner.
                     flush()
                     before = self.cache.stats
                     term_pieces[i].append(
                         self._run_deterministic_block(sites, executions)
                     )
-                    owner_stats[i].append(self.cache.stats.minus(before))
-            per_thread_list.append(per_thread)
-            issue_list.append(issue_cycles)
-            stepped_list.append(stepped)
-            n_threads_list.append(n_threads)
+                    if not single:
+                        owner_stats[i].append(self.cache.stats.minus(before))
+            walked.append(
+                (binary, per_thread, n_threads, stepped, issue_cycles)
+            )
         flush()
 
         return [
             self._finish(
                 binary,
-                per_thread_list[i],
-                n_threads_list[i],
-                stepped_list[i],
-                issue_list[i] + math.fsum(
+                per_thread,
+                n_threads,
+                stepped,
+                issue_cycles + math.fsum(
                     itertools.chain.from_iterable(term_pieces[i])
                 ),
-                CacheStats.merge_all(owner_stats[i]),
+                self.cache.stats.minus(stats_before) if single
+                else CacheStats.merge_all(owner_stats[i]),
             )
-            for i, (binary, _args, _gws) in enumerate(items)
+            for i, (binary, per_thread, n_threads, stepped, issue_cycles)
+            in enumerate(walked)
         ]
 
     # -- shared model pieces ------------------------------------------------
@@ -797,148 +709,6 @@ class DetailedGPUSimulator:
                         )
 
         cycles = issue_cycles + math.fsum(latency_terms)
-        return self._finish(
-            binary, per_thread, n_threads, stepped, cycles,
-            self.cache.stats.minus(stats_before),
-        )
-
-    # -- vectorized engine --------------------------------------------------
-
-    def _simulate_vectorized(
-        self,
-        binary: KernelBinary,
-        arg_values: Mapping[str, float],
-        global_work_size: int,
-        rng: np.random.Generator,
-    ) -> SimulatedDispatch:
-        n_threads = max(
-            1, -(-global_work_size
-                 // self.device.items_per_thread(binary.simd_width))
-        )  # ceil div
-        per_thread = execution_counts(
-            binary.program, arg_values, rng, binary.n_blocks
-        )
-        arrays = binary.arrays
-        plan = binary.send_plan
-
-        # All non-send pipe occupancy in one dot product.  Issue cycles
-        # are integer-valued floats, so this is exact and equals the
-        # reference engine's per-instruction running sum.
-        issue_cycles = float(per_thread @ arrays.issue_cycles)
-        stepped = int(per_thread @ arrays.instruction_counts)
-        stats_before = self.cache.stats
-        tm = telemetry.get()
-        if tm.enabled:
-            # Per-block stepped-instruction distribution: both engines
-            # observe the same products, so the histogram is engine-
-            # independent like every other reported quantity.
-            tm.histogram(
-                "simulation.block_steps", "instructions"
-            ).observe_array(per_thread * arrays.instruction_counts)
-
-        # Latency terms accumulate as ordered pieces (lists/iterators),
-        # flattened once into fsum.  Random blocks' streams are *pended*
-        # and merged into as few cache calls as possible; a pending batch
-        # must be flushed before any deterministic block runs, because
-        # that path reads the live cache state for its signature check.
-        term_pieces: list[Iterable[float]] = []
-        pending: list[tuple] = []
-        pending_size = 0
-
-        def flush() -> None:
-            nonlocal pending, pending_size
-            if not pending:
-                return
-            if len(pending) == 1:
-                addresses, writes, segments, lens_f = pending[0]
-            else:
-                addresses = np.concatenate([p[0] for p in pending])
-                writes = np.concatenate([p[1] for p in pending])
-            outcome = self.cache.access_stream(addresses, writes)
-            offset = 0
-            for addrs, _w, segments, lens_f in pending:
-                n = addrs.size
-                term_pieces.append(
-                    self._segment_terms(
-                        outcome.hit[offset:offset + n], segments, lens_f
-                    )
-                )
-                offset += n
-            pending = []
-            pending_size = 0
-
-        # With a single element grid behind every RANDOM site, the whole
-        # invocation's random indices come from one fused generator call
-        # (bit-identical to the reference's per-send draws); each random
-        # block then just slices its span off the pool.
-        pool: np.ndarray | None = None
-        pool_cursor = 0
-        element = plan.uniform_random_bytes
-        if element is not None:
-            total_draws = 0
-            for block_id, draws_per_exec in enumerate(plan.random_draws):
-                if draws_per_exec:
-                    total_draws += int(per_thread[block_id]) * draws_per_exec
-            if total_draws:
-                n_elements = max(1, DEFAULT_SURFACE.size_bytes // element)
-                pool = DEFAULT_SURFACE.base_address + element * rng.integers(
-                    0, n_elements, size=total_draws, dtype=np.int64
-                )
-
-        for block_id, executions in enumerate(per_thread.tolist()):
-            if executions == 0 or not plan.sites[block_id]:
-                continue
-            sites = plan.sites[block_id]
-            if plan.random_blocks[block_id]:
-                draws = None
-                if pool is not None:
-                    need = executions * plan.random_draws[block_id]
-                    draws = pool[pool_cursor:pool_cursor + need]
-                    pool_cursor += need
-                for piece in self._random_pieces(
-                    sites, executions, rng, draws
-                ):
-                    pending.append(piece)
-                    pending_size += piece[0].size
-                    if pending_size >= _FLUSH_ADDRESSES:
-                        flush()
-            elif executions == 1:
-                # A single execution has no steady state to detect; its
-                # fixed template stream joins the merged batch directly.
-                addresses, writes, segments, lens_f, _ = (
-                    self._det_template(sites)
-                )
-                pending.append((addresses, writes, segments, lens_f))
-                pending_size += addresses.size
-                if pending_size >= _FLUSH_ADDRESSES:
-                    flush()
-            elif (
-                pending
-                and executions <= _TILE_EXECUTIONS
-                and executions * self._det_template(sites)[0].size
-                <= _TILE_ADDRESSES
-                and self._block_memo_unpromising(sites)
-            ):
-                # Small repeated blocks whose fixed-point memo keeps
-                # missing (interleaved random streams churn their sets'
-                # signatures): tiling the template -- executions back to
-                # back, exactly the stream the steady-state path would
-                # run -- into the merged batch beats forcing a flush.
-                piece = self._tiled_det_piece(sites, executions)
-                pending.append(piece)
-                pending_size += piece[0].size
-                if pending_size >= _FLUSH_ADDRESSES:
-                    flush()
-            else:
-                flush()
-                term_pieces.append(
-                    self._run_deterministic_block(sites, executions)
-                )
-        flush()
-
-        cycles = issue_cycles + math.fsum(
-            itertools.chain.from_iterable(term_pieces)
-        )
         return self._finish(
             binary, per_thread, n_threads, stepped, cycles,
             self.cache.stats.minus(stats_before),

@@ -78,7 +78,7 @@ def simulate_selection_microkernels(
     loop_reduction: float = 4.0,
     cache_config: CacheConfig | None = None,
     seed: int = 0,
-    engine: str = "vectorized",
+    engine: str = "batched",
 ) -> MicroKernelResult:
     """Sampled simulation with loop-reduced micro-kernels."""
     if loop_reduction < 1.0:
@@ -101,43 +101,27 @@ def simulate_selection_microkernels(
             seconds = 0.0
             instructions = 0.0
             indices = list(chosen.interval.invocation_indices())
-            if simulator.engine == "batched":
-                # The epoch partition comes from the *original* profiles
-                # (loop reduction rescales an argument, not the buffer
-                # reads the hazard analysis keys on), and flattening it
-                # preserves invocation order, so the accumulation below
-                # matches the per-invocation loop exactly.
-                epochs = dispatch_graph.partition_epochs(
-                    dispatch_graph.nodes_from_log(log, indices)
-                )
-                for epoch in epochs:
-                    items = []
-                    for j in epoch.indices:
-                        profile = log.invocations[j]
-                        items.append((
-                            sources[profile.kernel_name].body,
-                            _reduced_args(
-                                profile.arg_items, loop_reduction,
-                                profile.data_items,
-                            ),
-                            profile.global_work_size,
-                        ))
-                    for result in simulator.simulate_epoch(items, rng):
-                        seconds += result.seconds
-                        instructions += result.instruction_count
-            else:
-                for i in indices:
-                    profile = log.invocations[i]
-                    binary = sources[profile.kernel_name].body
-                    result = simulator.simulate(
-                        binary,
+            # The epoch partition comes from the *original* profiles
+            # (loop reduction rescales an argument, not the buffer reads
+            # the hazard analysis keys on), and flattening it preserves
+            # invocation order, so the accumulation below matches a
+            # per-invocation loop exactly.
+            epochs = dispatch_graph.partition_epochs(
+                dispatch_graph.nodes_from_log(log, indices)
+            )
+            for epoch in epochs:
+                items = []
+                for j in epoch.indices:
+                    profile = log.invocations[j]
+                    items.append((
+                        sources[profile.kernel_name].body,
                         _reduced_args(
                             profile.arg_items, loop_reduction,
                             profile.data_items,
                         ),
                         profile.global_work_size,
-                        rng,
-                    )
+                    ))
+                for result in simulator.simulate_epoch(items, rng):
                     seconds += result.seconds
                     instructions += result.instruction_count
             if instructions > 0:

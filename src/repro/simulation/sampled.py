@@ -10,10 +10,11 @@ Fast-forwarding is modelled honestly: skipped invocations are *not*
 stepped -- their instruction counts come from the GT-Pin profile (which
 the methodology already has), at zero simulation cost.
 
-With ``engine="batched"`` the detailed intervals run through the
-cross-dispatch scheduler: invocations partition into hazard-free epochs
+The detailed intervals run through the cross-dispatch scheduler:
+invocations partition into hazard-free epochs
 (:mod:`repro.simulation.dispatch_graph`) and each epoch simulates as one
-unit, overlapping the fast-forwarded structure with the detailed work.
+unit, overlapping the fast-forwarded structure with the detailed work
+(the reference engine steps each epoch's invocations one at a time).
 ``jobs`` optionally fans the pure trip-count resolution of jitter-free
 kernels out to a worker pool first (the simulation itself stays on one
 cache, so results are bit-identical at any worker count).
@@ -118,48 +119,6 @@ def _precompute_epoch_counts(
     }
 
 
-def _simulate_epochs(
-    simulator: DetailedGPUSimulator,
-    sources: Mapping[str, KernelSource],
-    log: InvocationLog,
-    indices: Sequence[int],
-    rng: np.random.Generator,
-    jobs: int | None,
-) -> tuple[float, int]:
-    """Batched-engine path: epoch partition, then one call per epoch.
-
-    Flattened epochs reproduce ``indices`` exactly, and each result is
-    accumulated in that order, so the sums are bit-identical to the
-    per-invocation loop.
-    """
-    epochs = dispatch_graph.partition_epochs(
-        dispatch_graph.nodes_from_log(log, list(indices))
-    )
-    counts_by_index: dict[int, np.ndarray] = {}
-    if resolve_jobs(jobs) > 1:
-        counts_by_index = _precompute_epoch_counts(
-            sources, log, indices, jobs
-        )
-    seconds = 0.0
-    instructions = 0
-    for epoch in epochs:
-        items = []
-        counts = []
-        for node in epoch.nodes:
-            profile = log.invocations[node.index]
-            binary = sources[profile.kernel_name].body
-            items.append((
-                binary,
-                {**dict(profile.data_items), **dict(profile.arg_items)},
-                profile.global_work_size,
-            ))
-            counts.append(counts_by_index.get(node.index))
-        for result in simulator.simulate_epoch(items, rng, counts):
-            seconds += result.seconds
-            instructions += result.instruction_count
-    return seconds, instructions
-
-
 def _simulate_invocations(
     simulator: DetailedGPUSimulator,
     sources: Mapping[str, KernelSource],
@@ -167,8 +126,13 @@ def _simulate_invocations(
     indices: list[int],
     seed: int,
     jobs: int | None = 1,
-) -> tuple[float, float, int]:
-    """Simulate the given invocations; returns (seconds, instrs, stepped)."""
+) -> tuple[float, float, float]:
+    """Simulate the given invocations; returns (seconds, instrs, wall).
+
+    Invocations run epoch by epoch.  Flattened epochs reproduce
+    ``indices`` exactly, and each result is accumulated in that order,
+    so the sums are bit-identical to a per-invocation loop.
+    """
     tm = telemetry.get()
     rng = np.random.default_rng(seed)
     sim_seconds = 0.0
@@ -179,20 +143,29 @@ def _simulate_invocations(
         "simulation.invocations", category="simulation",
         invocations=len(indices),
     ) as timer:
-        if simulator.engine == "batched":
-            sim_seconds, sim_instructions = _simulate_epochs(
-                simulator, sources, log, indices, rng, jobs
+        epochs = dispatch_graph.partition_epochs(
+            dispatch_graph.nodes_from_log(log, indices)
+        )
+        counts_by_index: dict[int, np.ndarray] = {}
+        # The reference engine resolves its own counts, so a fan-out
+        # would only be discarded.
+        if simulator.engine != "reference" and resolve_jobs(jobs) > 1:
+            counts_by_index = _precompute_epoch_counts(
+                sources, log, indices, jobs
             )
-        else:
-            for i in indices:
-                profile = log.invocations[i]
+        for epoch in epochs:
+            items = []
+            counts = []
+            for node in epoch.nodes:
+                profile = log.invocations[node.index]
                 binary = sources[profile.kernel_name].body
-                result = simulator.simulate(
+                items.append((
                     binary,
                     {**dict(profile.data_items), **dict(profile.arg_items)},
                     profile.global_work_size,
-                    rng,
-                )
+                ))
+                counts.append(counts_by_index.get(node.index))
+            for result in simulator.simulate_epoch(items, rng, counts):
                 sim_seconds += result.seconds
                 sim_instructions += result.instruction_count
     wall = timer.duration_seconds
@@ -211,13 +184,13 @@ def simulate_selection(
     device: DeviceSpec | str,
     cache_config: CacheConfig | None = None,
     seed: int = 0,
-    engine: str = "vectorized",
+    engine: str = "batched",
     jobs: int | None = 1,
 ) -> SampledSimulationResult:
     """Detailed-simulate the selected intervals only, then extrapolate.
 
-    ``jobs`` (batched engine only) fans jitter-free trip-count
-    resolution out to a worker pool; the default 1 stays serial and
+    ``jobs`` fans jitter-free trip-count resolution out to a worker pool
+    (the reference engine ignores it); the default 1 stays serial and
     never consults ``REPRO_JOBS`` (pass ``None`` to opt in).
     """
     tm = telemetry.get()
@@ -267,7 +240,7 @@ def simulate_full(
     device: DeviceSpec | str,
     cache_config: CacheConfig | None = None,
     seed: int = 0,
-    engine: str = "vectorized",
+    engine: str = "batched",
     jobs: int | None = 1,
 ) -> FullSimulationResult:
     """Detailed-simulate every invocation (the cost the method avoids)."""

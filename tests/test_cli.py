@@ -1,6 +1,7 @@
 """Command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -160,7 +161,7 @@ def test_sim_engine_flag(tmp_path, capsys):
         "simulation.simulated_seconds",
     )
     outputs = {}
-    for engine in ("reference", "vectorized"):
+    for engine in ("reference", "batched"):
         out = tmp_path / f"{engine}.json"
         assert main(
             ["trace", "cb-gaussian-image", "--scale", "0.5",
@@ -173,12 +174,17 @@ def test_sim_engine_flag(tmp_path, capsys):
             if line.strip().startswith(model_counters)
         ]
     assert len(outputs["reference"]) == len(model_counters)
-    assert outputs["reference"] == outputs["vectorized"]
+    assert outputs["reference"] == outputs["batched"]
 
 
-def test_sim_engine_rejects_unknown():
-    with pytest.raises(SystemExit):
-        main(["trace", "cb-gaussian-image", "--sim-engine", "warp"])
+def test_sim_engine_rejects_unknown(capsys):
+    for engine in ("warp", "vectorized"):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "cb-gaussian-image", "--sim-engine", engine])
+        assert exc.value.code == 2
+        assert re.search(
+            r"choose from '?batched'?, '?reference'?", capsys.readouterr().err
+        )
 
 
 def test_telemetry_flag_on_existing_subcommand(tmp_path, capsys):

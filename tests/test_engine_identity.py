@@ -1,11 +1,12 @@
-"""Engine identity: vectorized and reference simulation are bit-identical.
+"""Engine identity: batched and reference simulation are bit-identical.
 
-The vectorized engine (block-batched stepping, numpy cache streams,
-steady-state fast-forwarding, invocation memoization) must reproduce the
-scalar reference engine exactly -- same cycles, seconds, instruction
-counts, and cache hit/miss/eviction/writeback counts -- not merely
-approximately.  These tests drive both engines over the same invocation
-sequences with identically seeded RNGs and compare every field.
+The batched engine (block-batched stepping, numpy cache streams,
+steady-state fast-forwarding, merged cross-dispatch epochs, epoch
+memoization) must reproduce the scalar reference engine exactly -- same
+cycles, seconds, instruction counts, and cache
+hit/miss/eviction/writeback counts -- not merely approximately.  These
+tests drive both engines over the same invocation sequences with
+identically seeded RNGs and compare every field.
 """
 
 import dataclasses
@@ -99,79 +100,23 @@ SEQUENCES = {
 }
 
 
-@pytest.mark.parametrize("label", sorted(SEQUENCES))
-def test_engines_bit_identical(label):
-    invocations = SEQUENCES[label]
-    ref, ref_sim = run_sequence(invocations, "reference")
-    vec, vec_sim = run_sequence(invocations, "vectorized")
-    assert_identical(vec, ref)
-    # Lifetime accounting matches too: same cache totals, same stepped
-    # instructions (memo replays count the instructions they cover).
-    assert dataclasses.asdict(vec_sim.cache.stats) == dataclasses.asdict(
-        ref_sim.cache.stats
-    )
-    assert (
-        vec_sim.total_simulated_instructions
-        == ref_sim.total_simulated_instructions
-    )
-
-
-@pytest.mark.parametrize("label", sorted(SEQUENCES))
-def test_memoization_transparent(label):
-    """Memoization on vs off never changes any result."""
-    invocations = SEQUENCES[label]
-    plain, plain_sim = run_sequence(invocations, "vectorized", memoize=False)
-    memo, memo_sim = run_sequence(invocations, "vectorized", memoize=True)
-    assert_identical(memo, plain)
-    assert dataclasses.asdict(memo_sim.cache.stats) == dataclasses.asdict(
-        plain_sim.cache.stats
-    )
-
-
 def test_memoization_hits_repeated_invocations():
     kernel = build_tiny_kernel()
     invocations = [(kernel, {"iters": 4.0, "n": 64.0}, 64)] * 6
-    results, simulator = run_sequence(invocations, "vectorized")
-    assert simulator.memo_hits > 0
+    results, simulator = run_sequence(invocations, "batched")
+    assert simulator.epoch_memo_hits > 0
     assert simulator.memo_stepped_avoided > 0
     # The first invocation runs on a cold cache; the second reaches the
     # warmed steady state, which every later replay reproduces exactly.
     assert_identical(results[2:], results[1:-1])
 
 
-def test_rng_state_advances_identically():
-    """Both engines leave the caller's generator in the same state."""
-    invocations = SEQUENCES["jittered"] + SEQUENCES["random-uniform"]
-    ref_rng = np.random.default_rng(11)
-    vec_rng = np.random.default_rng(11)
-    ref_sim = DetailedGPUSimulator(HD4000, CACHE, engine="reference")
-    vec_sim = DetailedGPUSimulator(HD4000, CACHE, engine="vectorized")
-    for kernel, args, gws in invocations:
-        ref_sim.simulate(kernel, args, gws, ref_rng)
-        vec_sim.simulate(kernel, args, gws, vec_rng)
-    assert repr(ref_rng.bit_generator.state) == repr(vec_rng.bit_generator.state)
-
-
-def test_simulate_full_engine_identity(small_workload, small_app):
-    """The whole sampled-simulation entry point agrees across engines."""
-    ref = simulate_full(
-        small_app.name, small_app.sources, small_workload.log, HD4000,
-        CACHE, engine="reference",
-    )
-    vec = simulate_full(
-        small_app.name, small_app.sources, small_workload.log, HD4000,
-        CACHE, engine="vectorized",
-    )
-    assert vec.measured_spi == ref.measured_spi
-    assert vec.simulated_instructions == ref.simulated_instructions
-
-
 def test_unknown_engine_rejected():
-    with pytest.raises(ValueError, match="engine"):
-        DetailedGPUSimulator(HD4000, CACHE, engine="warp-speed")
-
-
-# -- batched (cross-dispatch) engine -----------------------------------------
+    for engine in ("warp-speed", "vectorized"):
+        with pytest.raises(
+            ValueError, match=r"engine must be one of \('batched', 'reference'\)"
+        ):
+            DetailedGPUSimulator(HD4000, CACHE, engine=engine)
 
 
 @pytest.mark.parametrize("label", sorted(SEQUENCES))

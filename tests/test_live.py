@@ -15,6 +15,7 @@ import queue
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,9 +29,12 @@ from repro.obs.metrics import metric_name, parse_exposition
 from repro.obs.top import render_top, run_top
 from repro.parallel.pool import WORKER_ENV, _run_task, parallel_map
 from repro.sampling.pipeline import profile_workload
+from repro.simulation.detailed import DetailedGPUSimulator
 from repro.telemetry.registry import Telemetry
 from repro.telemetry.snapshot import DeltaAccumulator, DeltaTracker
 from repro.workloads import load_app
+
+from conftest import build_tiny_kernel
 
 
 @pytest.fixture
@@ -276,6 +280,21 @@ def test_hub_merges_parent_registry_with_unretired_sources(hub):
         parsed = parse_exposition(hub.metrics_text())
         assert parsed[name] == 15.0
         assert hub.health_doc()["workers"] == []
+
+
+def test_health_reports_simulation_memo_hit_rate(hub):
+    """/health carries the batched engine's epoch-memo hit rate."""
+    with telemetry.session():
+        simulator = DetailedGPUSimulator(HD4000, engine="batched")
+        kernel, rng = build_tiny_kernel(), np.random.default_rng(0)
+        for _ in range(6):
+            simulator.simulate(kernel, {"iters": 4.0, "n": 64.0}, 64, rng)
+        rates = hub.health_doc()["hit_rates"]
+    hits = simulator.epoch_memo_hits
+    assert hits > 0
+    assert rates["simulation_memo"] == hits / (
+        hits + simulator.epoch_memo_misses
+    )
 
 
 def test_retire_source_drops_lane_and_is_idempotent(hub):

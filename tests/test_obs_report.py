@@ -2,13 +2,18 @@
 
 import types
 
+import numpy as np
 import pytest
 
 from repro import telemetry
 from repro.cli import main
 from repro.faults.health import HEALTHY, ProfileHealth
+from repro.gpu.device import HD4000
 from repro.obs import events as obs_events
 from repro.obs.report import render_report, write_report
+from repro.simulation.detailed import DetailedGPUSimulator
+
+from conftest import build_tiny_kernel
 
 
 @pytest.fixture
@@ -59,6 +64,18 @@ def test_report_sections_cover_run_state(tm, log):
     assert "Faults and health" in html
     assert "fault.injected" in html  # WARN incidents are listed
     assert "Event log" in html
+
+
+def test_report_shows_simulation_memo_hit_rate(tm):
+    """A batched simulate run's epoch-memo rate lands in the hit-rate table."""
+    simulator = DetailedGPUSimulator(HD4000, engine="batched")
+    kernel, rng = build_tiny_kernel(), np.random.default_rng(0)
+    for _ in range(6):
+        simulator.simulate(kernel, {"iters": 4.0, "n": 64.0}, 64, rng)
+    assert simulator.epoch_memo_hits > 0
+    html = render_report(tm)
+    assert "Hit rates" in html
+    assert "Simulation memo" in html
 
 
 def test_report_without_events_or_study(tm):

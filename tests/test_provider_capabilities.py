@@ -5,8 +5,8 @@ through four groups of checks:
 
 1. **capability invariants** -- the flags are internally consistent and
    every advertised device resolves through the registry;
-2. **engine identity** -- reference, vectorized, and batched simulation
-   are bit-identical on the deterministic mini-suite, per dispatch;
+2. **engine identity** -- reference and batched simulation are
+   bit-identical on the deterministic mini-suite, per dispatch;
 3. **dispatch/timing sanity** -- hypothesis properties over the roofline
    model and the work-item -> hardware-thread mapping; and
 4. **per-provider goldens** -- Table I-style profiling statistics pinned
@@ -213,20 +213,19 @@ def _assert_dispatches_identical(got, want):
 
 
 def test_engine_identity_on_mini_suite(provider_workloads):
-    """reference == vectorized == batched, per dispatch, per provider."""
+    """reference == batched, per dispatch, per provider."""
     provider, workloads = provider_workloads
     for app, workload in workloads:
         ref, ref_sim = _run_engine(provider, app, workload, "reference")
-        for engine in ("vectorized", "batched"):
-            got, got_sim = _run_engine(provider, app, workload, engine)
-            _assert_dispatches_identical(got, ref)
-            assert dataclasses.asdict(got_sim.cache.stats) == (
-                dataclasses.asdict(ref_sim.cache.stats)
-            ), (provider.name, app.name, engine)
-            assert (
-                got_sim.total_simulated_instructions
-                == ref_sim.total_simulated_instructions
-            )
+        got, got_sim = _run_engine(provider, app, workload, "batched")
+        _assert_dispatches_identical(got, ref)
+        assert dataclasses.asdict(got_sim.cache.stats) == (
+            dataclasses.asdict(ref_sim.cache.stats)
+        ), (provider.name, app.name, "batched")
+        assert (
+            got_sim.total_simulated_instructions
+            == ref_sim.total_simulated_instructions
+        )
 
 
 # -- 3. dispatch/timing sanity properties -------------------------------------

@@ -321,7 +321,7 @@ def test_stop_cancels_queued_work_and_rejects_new(make_queue):
 # -- HTTP endpoint (stubbed work) --------------------------------------------
 
 
-def _fake_execute(spec, cancel=None, cache=None, sim_engine="vectorized"):
+def _fake_execute(spec, cancel=None, cache=None, sim_engine="batched"):
     if spec.seed == 666:
         raise RuntimeError("engine exploded")
     if spec.seed == 99 and cancel is not None:
@@ -423,7 +423,7 @@ def test_http_backpressure_429_with_retry_after(monkeypatch):
     gate = threading.Event()
 
     def blocking_execute(spec, cancel=None, cache=None,
-                         sim_engine="vectorized"):
+                         sim_engine="batched"):
         gate.wait(timeout=10.0)
         return {"seed": spec.seed}
 

@@ -109,7 +109,7 @@ def test_dispatch_cache_stats_are_per_dispatch_deltas():
     assert first.cache.misses + second.cache.misses == lifetime.misses
 
 
-@pytest.mark.parametrize("engine", ["reference", "vectorized"])
+@pytest.mark.parametrize("engine", ["reference", "batched"])
 def test_dispatch_cache_delta_both_engines(engine):
     kernel = build_tiny_kernel()
     simulator = DetailedGPUSimulator(
@@ -133,12 +133,12 @@ def test_simulate_selection_engine_parameter(small_workload, small_app):
             small_app.name, small_app.sources, small_workload.log,
             result.selection, HD4000, cache, engine=engine,
         )
-        for engine in ("reference", "vectorized")
+        for engine in ("reference", "batched")
     }
-    ref, vec = by_engine["reference"], by_engine["vectorized"]
-    assert vec.projected_spi == ref.projected_spi
-    assert vec.simulated_instructions == ref.simulated_instructions
-    assert vec.fast_forwarded_instructions == ref.fast_forwarded_instructions
+    ref, bat = by_engine["reference"], by_engine["batched"]
+    assert bat.projected_spi == ref.projected_spi
+    assert bat.simulated_instructions == ref.simulated_instructions
+    assert bat.fast_forwarded_instructions == ref.fast_forwarded_instructions
 
 
 def test_microkernels_engine_parameter(small_workload, small_app):
@@ -150,14 +150,14 @@ def test_microkernels_engine_parameter(small_workload, small_app):
             small_app.name, small_app.sources, small_workload.log,
             result.selection, HD4000, loop_reduction=2.0, engine=engine,
         )
-        for engine in ("reference", "vectorized")
+        for engine in ("reference", "batched")
     }
     assert (
-        outcomes["vectorized"].projected_spi
+        outcomes["batched"].projected_spi
         == outcomes["reference"].projected_spi
     )
     assert (
-        outcomes["vectorized"].stepped_instructions
+        outcomes["batched"].stepped_instructions
         == outcomes["reference"].stepped_instructions
     )
 

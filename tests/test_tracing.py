@@ -157,7 +157,7 @@ def _record(command="profile", **overrides):
         app="cb-gaussian-buffer",
         kind="profile",
         device="HD4000",
-        engine="vectorized",
+        engine="batched",
         status="ok",
         started_unix=1_700_000_000.0,
         duration_seconds=1.5,
