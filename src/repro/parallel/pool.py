@@ -16,12 +16,17 @@ speedup while preserving three guarantees the sweep drivers rely on:
   merges every snapshot (in task order) so the Chrome trace stays
   complete under parallel runs (see :mod:`repro.telemetry.snapshot`).
 
+An argument that is the same object in every task (``explore``'s
+profile and timing trace) reaches each worker once, through the pool
+initializer; each task carries only its own arguments (the config).
+
 Job count comes from the explicit ``jobs`` argument, else the
 ``REPRO_JOBS`` environment variable, else 1 (serial).  ``jobs=0``
 means "all cores"; anything else non-positive (or non-integer) is
 rejected with a clear :class:`ValueError` rather than silently
-misbehaving.  ``jobs=1`` -- and any pool that fails to start --
-runs the exact same tasks serially in-process.  Workers export
+misbehaving.  ``jobs=1`` -- and any pool that fails to start, in its
+constructor or when the first submit forks its workers -- runs the
+exact same tasks serially in-process.  Workers export
 ``REPRO_PARALLEL_WORKER=1`` so nested sweeps inside a worker always
 resolve to serial instead of forking grandchild pools.
 """
@@ -125,6 +130,53 @@ class _WorkerResult:
     source: str = ""
 
 
+#: Position -> object for the arguments every task of this worker's
+#: pool shares; set once per worker process by the pool initializer.
+_shared_args: dict[int, Any] = {}
+
+
+def _install_shared(shared: dict[int, Any]) -> None:
+    """Pool initializer: keep the arguments every task shares."""
+    global _shared_args
+    _shared_args = shared
+
+
+def _split_shared(tasks: list[tuple]) -> tuple[dict[int, Any], list[tuple]]:
+    """Split off the positions that hold the same object in every
+    task; returns them and each task's own arguments."""
+    if any(len(args) != len(tasks[0]) for args in tasks):
+        return {}, tasks
+    shared = {
+        i: arg
+        for i, arg in enumerate(tasks[0])
+        if all(args[i] is arg for args in tasks)
+    }
+    return shared, [
+        tuple(arg for i, arg in enumerate(args) if i not in shared)
+        for args in tasks
+    ]
+
+
+def _with_shared(args: tuple) -> tuple:
+    """A task's own arguments with the worker's shared ones put back."""
+    own = iter(args)
+    return tuple(
+        _shared_args[i] if i in _shared_args else next(own)
+        for i in range(len(args) + len(_shared_args))
+    )
+
+
+def _stop_workers(executor: concurrent.futures.ProcessPoolExecutor) -> None:
+    """Terminate the workers of a pool whose start failed part way:
+    they wait for tasks no manager thread will send, and would block
+    interpreter exit."""
+    processes = list((getattr(executor, "_processes", None) or {}).values())
+    executor.shutdown(wait=False, cancel_futures=True)
+    for process in processes:
+        process.terminate()
+        process.join()
+
+
 def _heartbeat_loop(
     heartbeat_queue: Any,
     tracker: DeltaTracker,
@@ -168,6 +220,7 @@ def _run_task(
     :mod:`repro.obs.live`).
     """
     os.environ[WORKER_ENV] = "1"
+    args = _with_shared(args)
     if not capture:
         try:
             return _WorkerResult(fn(*args), None, None, None)
@@ -371,8 +424,15 @@ def _pool_map(
 ) -> list[TaskOutcome]:
     tm = telemetry.get()
     hub = obs_live.get()
+    # Shared arguments are inherited under fork and pickled once per
+    # worker under spawn or forkserver.
+    shared, own_args = _split_shared(tasks)
     try:
-        executor = concurrent.futures.ProcessPoolExecutor(max_workers=n_jobs)
+        executor = concurrent.futures.ProcessPoolExecutor(
+            max_workers=n_jobs,
+            initializer=_install_shared,
+            initargs=(shared,),
+        )
     except (OSError, ValueError, ImportError, NotImplementedError):
         # No usable multiprocessing (restricted sandboxes, missing
         # semaphores): the serial path produces identical results.
@@ -398,7 +458,7 @@ def _pool_map(
     sources: list[str] = [""] * len(tasks)
     with executor:
         futures = {}
-        for index, args in enumerate(tasks):
+        for index, args in enumerate(own_args):
             heartbeat = None
             if channel is not None:
                 heartbeat = (
@@ -407,11 +467,19 @@ def _pool_map(
                     f"{task_name}[{index}]",
                     interval,
                 )
-            futures[
-                executor.submit(
+            try:
+                future = executor.submit(
                     _run_task, fn, args, capture, heartbeat, trace
                 )
-            ] = index
+            except OSError:
+                if futures:
+                    raise
+                # Workers start at the first submit, not in the
+                # constructor: a fork that fails (EAGAIN) lands here,
+                # before any task has run.
+                _stop_workers(executor)
+                break
+            futures[future] = index
         for future in concurrent.futures.as_completed(futures):
             index = futures[future]
             try:
@@ -451,6 +519,10 @@ def _pool_map(
             manager.shutdown()
         except Exception:
             pass
+    if not futures:
+        # The first submit could not start the workers.
+        tm.inc("parallel.pool_fallbacks")
+        return _serial_map(fn, tasks, batch_id)
     if capture and tm.enabled:
         # Deterministic merge order: task order, not completion order.
         # Retiring each source right after its snapshot merges keeps the

@@ -8,7 +8,9 @@ Reimplements the SimPoint 3.0 pipeline the paper uses (Hamerly et al.,
    frequencies;
 2. randomly project to a low dimension (default 15, SimPoint's default);
 3. run weighted k-means (weights = interval instruction counts) for a
-   range of k with k-means++ seeding and multiple restarts;
+   range of k with k-means++ seeding and multiple restarts (a Lloyd
+   run caught in an exact cycle jumps straight to the state it would
+   hold after ``max_iterations``: the same result, not an early stop);
 4. score each k with the Bayesian Information Criterion and pick the
    smallest k whose BIC reaches a coverage fraction (default 0.9) of the
    observed BIC range;
@@ -59,6 +61,10 @@ class SimPointOptions:
             )
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if self.max_iterations < 1:
+            raise ValueError(
+                f"max_iterations must be >= 1, got {self.max_iterations}"
+            )
         if self.fixed_k is not None and self.fixed_k < 1:
             raise ValueError(f"fixed_k must be >= 1, got {self.fixed_k}")
 
@@ -160,56 +166,91 @@ def _lloyd(
     centroids: np.ndarray,
     max_iterations: int,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Weighted Lloyd iterations; returns (labels, centroids, distortion)."""
+    """Weighted Lloyd iterations; returns (labels, centroids, distortion).
+
+    Equals the plain per-cluster loop bit for bit when the weights are
+    integers (instruction counts) and points have two or more columns:
+    mass sums are then exact in any order, and ``bincount`` adds each
+    cluster's weighted points in the row order of a masked
+    ``sum(axis=0)`` (which numpy sums pairwise for one column).  Each
+    iteration is a deterministic function of (labels, centroids), so
+    once that state repeats byte for byte the loop is in a cycle that
+    never converges; it then runs only the iterations that land on the
+    state iteration ``max_iterations`` would hold -- an exact jump, not
+    an early stop.
+    """
+    n, dim = points.shape
     k = centroids.shape[0]
-    labels = np.zeros(points.shape[0], dtype=np.int64)
-    for _ in range(max_iterations):
-        # (n, k) squared distances.
-        d2 = (
-            (points**2).sum(axis=1, keepdims=True)
-            - 2.0 * points @ centroids.T
-            + (centroids**2).sum(axis=1)
+    log = _events.get()
+    labels = np.zeros(n, dtype=np.int64)
+    norms = (points**2).sum(axis=1, keepdims=True)
+    # Row-major (point, dimension) products, summed per cluster by one
+    # ``bincount`` over the ``label * dim + dimension`` bins.
+    weighted = (weights[:, None] * points).ravel()
+    columns = np.arange(dim)
+
+    def sq_distances() -> np.ndarray:
+        """(n, k) squared distances to the current centroids."""
+        return (
+            norms - 2.0 * points @ centroids.T + (centroids**2).sum(axis=1)
         )
-        new_labels = d2.argmin(axis=1)
-        for j in range(k):
-            mask = new_labels == j
-            mass = weights[mask].sum()
-            if mass > 0:
-                centroids[j] = (
-                    weights[mask, None] * points[mask]
-                ).sum(axis=0) / mass
-            else:
+
+    seen: dict[bytes, int] | None = {}
+    end = max_iterations
+    iteration = 0
+    while iteration < end:
+        iteration += 1
+        new_labels = sq_distances().argmin(axis=1)
+        masses = np.bincount(new_labels, weights=weights, minlength=k)
+        if (masses > 0).all():
+            sums = np.bincount(
+                (new_labels[:, None] * dim + columns).ravel(),
+                weights=weighted,
+                minlength=k * dim,
+            )
+            centroids[:] = sums.reshape(k, dim) / masses[:, None]
+        else:
+            for j in range(k):
+                mask = new_labels == j
+                mass = weights[mask].sum()
+                if mass > 0:
+                    centroids[j] = (
+                        weights[mask, None] * points[mask]
+                    ).sum(axis=0) / mass
+                    continue
                 # Re-seed an empty cluster at the farthest point, measured
-                # against the centroids *as updated so far this iteration*:
-                # ``d2`` was computed before any centroid moved, so its
-                # distances are stale for clusters updated earlier in this
-                # loop and could reseed on a point that is now well
-                # covered.  The vacated centroid itself is excluded -- it
-                # is the position being replaced.
-                current_d2 = (
-                    (points**2).sum(axis=1, keepdims=True)
-                    - 2.0 * points @ centroids.T
-                    + (centroids**2).sum(axis=1)
-                )
+                # against the centroids *as updated so far this
+                # iteration*: distances from before the update are stale
+                # for clusters updated earlier in this loop and could
+                # reseed on a point that is now well covered.  The
+                # vacated centroid itself is excluded -- it is the
+                # position being replaced.
+                current_d2 = sq_distances()
                 current_d2[:, j] = np.inf
                 farthest = int(current_d2.min(axis=1).argmax())
                 centroids[j] = points[farthest]
                 new_labels[farthest] = j
-                log = _events.get()
                 if log.enabled:
-                    log.debug(
-                        "simpoint.reseed", cluster=j, point=farthest
-                    )
+                    log.debug("simpoint.reseed", cluster=j, point=farthest)
         if np.array_equal(new_labels, labels):
             labels = new_labels
             break
         labels = new_labels
-    d2 = (
-        (points**2).sum(axis=1, keepdims=True)
-        - 2.0 * points @ centroids.T
-        + (centroids**2).sum(axis=1)
-    )
-    point_d2 = np.maximum(d2[np.arange(points.shape[0]), labels], 0.0)
+        if seen is None:
+            continue
+        state = labels.tobytes() + centroids.tobytes()
+        first = seen.setdefault(state, iteration)
+        if first < iteration:
+            period = iteration - first
+            end = iteration + (max_iterations - iteration) % period
+            seen = None
+            if log.enabled:
+                log.debug(
+                    "simpoint.cycle", k=k, period=period,
+                    skipped=max_iterations - end,
+                )
+    d2 = sq_distances()
+    point_d2 = np.maximum(d2[np.arange(n), labels], 0.0)
     distortion = float((weights * point_d2).sum())
     return labels, centroids, distortion
 

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+import errno
+import functools
+import multiprocessing
+import multiprocessing.popen_fork
 import os
 import pickle
 
@@ -49,6 +54,23 @@ def _fail_on_three(x):
 
 def _always_fail(x):
     raise RuntimeError("nope")
+
+
+class _PickleCounted:
+    """A task argument that counts how often the parent pickles it."""
+
+    pickles = 0
+
+    def __init__(self, payload):
+        self.payload = payload
+
+    def __reduce__(self):
+        _PickleCounted.pickles += 1
+        return (_PickleCounted, (self.payload,))
+
+
+def _read_shared(index, shared, offset):
+    return index + len(shared.payload) + offset
 
 
 def _traced_task(x):
@@ -139,6 +161,77 @@ def test_parallel_map_counts_tasks_and_failures():
         parallel_map(_fail_on_three, [(i,) for i in range(4)], jobs=2)
         assert tm.counter_value("parallel.tasks") == 4
         assert tm.counter_value("parallel.task_failures") == 1
+
+
+def _use_context(monkeypatch, method):
+    """Make the pool start its workers with the ``method`` context."""
+    monkeypatch.setattr(
+        concurrent.futures,
+        "ProcessPoolExecutor",
+        functools.partial(
+            concurrent.futures.ProcessPoolExecutor,
+            mp_context=multiprocessing.get_context(method),
+        ),
+    )
+
+
+@pytest.mark.parametrize("method, most", [("fork", 0), ("spawn", 2)])
+def test_shared_arguments_ship_once_per_worker(monkeypatch, method, most):
+    """An argument that is the same object in every task reaches each
+    worker once, through the pool initializer: never pickled under
+    ``fork`` (the workers inherit it), once per worker under ``spawn``
+    (as under ``forkserver``), instead of once per task."""
+    shared = _PickleCounted(list(range(1000)))
+    tasks = [(i, shared, 7) for i in range(30)]
+    serial = parallel_map(_read_shared, tasks, jobs=1)
+    _use_context(monkeypatch, method)
+    monkeypatch.setattr(_PickleCounted, "pickles", 0)
+    pooled = parallel_map(_read_shared, tasks, jobs=2)
+    assert _PickleCounted.pickles <= most
+    assert pooled == serial
+    assert [o.value for o in pooled] == [i + 1007 for i in range(30)]
+
+
+@pytest.mark.parametrize("fail_at", [1, 2])
+def test_pool_falls_back_to_serial_when_fork_fails(monkeypatch, fail_at):
+    """Workers fork at the first submit, not in the executor's
+    constructor.  A fork that fails there (EAGAIN) falls back to the
+    serial path like a constructor failure -- also when one worker had
+    forked before the failure, which must not be left running."""
+    _use_context(monkeypatch, "fork")
+    launch = multiprocessing.popen_fork.Popen._launch
+    forks = []
+
+    def failing_launch(self, process_obj):
+        forks.append(process_obj)
+        if len(forks) >= fail_at:
+            raise BlockingIOError(
+                errno.EAGAIN, "Resource temporarily unavailable"
+            )
+        return launch(self, process_obj)
+
+    monkeypatch.setattr(
+        multiprocessing.popen_fork.Popen, "_launch", failing_launch
+    )
+    before = set(multiprocessing.active_children())
+    try:
+        with telemetry.session() as tm:
+            outcomes = parallel_map(
+                _square, [(i,) for i in range(6)], jobs=2
+            )
+            fallbacks = tm.counter_value("parallel.pool_fallbacks")
+    finally:
+        # A leaked worker would block interpreter exit; stop it so the
+        # failure is reported instead of hanging the run.
+        leaked = set(multiprocessing.active_children()) - before
+        for process in leaked:
+            process.terminate()
+            process.join(timeout=10)
+    assert not leaked
+    assert fallbacks == 1
+    assert [o.value for o in outcomes] == [i * i for i in range(6)]
+    assert all(o.ok for o in outcomes)
+    assert len(forks) == fail_at
 
 
 # -- explore: serial/parallel identity and error capture ---------------------

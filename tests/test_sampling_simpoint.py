@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.obs import events as obs_events
 from repro.sampling.simpoint import (
     SimPointOptions,
     SimPointResult,
+    _lloyd,
     bic_score,
     project_features,
     run_simpoint,
@@ -162,6 +166,9 @@ def test_options_validation():
         SimPointOptions(bic_coverage=1.5)
     with pytest.raises(ValueError):
         SimPointOptions(restarts=0)
+    for max_iterations in (0, -5):
+        with pytest.raises(ValueError, match="max_iterations"):
+            SimPointOptions(max_iterations=max_iterations)
 
 
 def test_bic_prefers_true_k():
@@ -286,3 +293,117 @@ def test_projection_empty_vectors():
     got = project_features([{}, {}], dim=3, seed=0)
     assert got.shape == (2, 3)
     assert (got == 0.0).all()
+
+
+def _lloyd_reference(points, weights, centroids, max_iterations):
+    """The original per-cluster Lloyd loop, kept as the equivalence
+    oracle for the bincount update and cycle jump in ``_lloyd``."""
+    k = centroids.shape[0]
+    labels = np.zeros(points.shape[0], dtype=np.int64)
+    for _ in range(max_iterations):
+        d2 = (
+            (points**2).sum(axis=1, keepdims=True)
+            - 2.0 * points @ centroids.T
+            + (centroids**2).sum(axis=1)
+        )
+        new_labels = d2.argmin(axis=1)
+        for j in range(k):
+            mask = new_labels == j
+            mass = weights[mask].sum()
+            if mass > 0:
+                centroids[j] = (
+                    weights[mask, None] * points[mask]
+                ).sum(axis=0) / mass
+            else:
+                current_d2 = (
+                    (points**2).sum(axis=1, keepdims=True)
+                    - 2.0 * points @ centroids.T
+                    + (centroids**2).sum(axis=1)
+                )
+                current_d2[:, j] = np.inf
+                farthest = int(current_d2.min(axis=1).argmax())
+                centroids[j] = points[farthest]
+                new_labels[farthest] = j
+        if np.array_equal(new_labels, labels):
+            labels = new_labels
+            break
+        labels = new_labels
+    d2 = (
+        (points**2).sum(axis=1, keepdims=True)
+        - 2.0 * points @ centroids.T
+        + (centroids**2).sum(axis=1)
+    )
+    point_d2 = np.maximum(d2[np.arange(points.shape[0]), labels], 0.0)
+    distortion = float((weights * point_d2).sum())
+    return labels, centroids, distortion
+
+
+@st.composite
+def _lloyd_inputs(draw):
+    """Points drawn from a few rows of a small grid of tenths, integer
+    weights (instruction counts) and initial centroids on those rows.
+
+    Few distinct rows give duplicate points and empty clusters; tenths
+    are inexact in binary, so a cluster of copies averages to a centroid
+    one rounding away from its points, which sends reseeds into exact
+    cycles.  Grid values are never ``-0.0``.
+    """
+    n = draw(st.integers(1, 60))
+    dim = draw(st.integers(2, 16))
+    k = draw(st.integers(1, 10))
+    n_rows = draw(st.integers(1, 6))
+    row = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    rows = np.array(
+        draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+    ) / 10.0
+    picks = st.integers(0, n_rows - 1)
+    points = rows[draw(st.lists(picks, min_size=n, max_size=n))]
+    weights = np.array(
+        draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n)),
+        dtype=np.float64,
+    )
+    centroids = rows[draw(st.lists(picks, min_size=k, max_size=k))]
+    max_iterations = draw(st.integers(1, 100))
+    return points, weights, centroids, max_iterations
+
+
+@settings(deadline=None, max_examples=200)
+@given(_lloyd_inputs())
+def test_lloyd_matches_reference_exactly(inputs):
+    """The bincount update and the cycle jump change no bit of the
+    labels, centroids or distortion (``projection_dim >= 2``; a
+    one-column array is summed pairwise by numpy, so no caller uses
+    it and this property does not draw it)."""
+    points, weights, centroids, max_iterations = inputs
+    got = _lloyd(points, weights, centroids.copy(), max_iterations)
+    want = _lloyd_reference(
+        points, weights, centroids.copy(), max_iterations
+    )
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes()
+
+
+def test_lloyd_cycle_jumps_to_the_last_iteration():
+    """Two copies of one point with both centroids on it: their mean
+    rounds away from the point, so every iteration empties a cluster
+    and the reseed alternates between the copies -- a cycle of period
+    2 from iteration 1.  The loop detects the repeat at iteration 3,
+    runs one more to land where iteration 100 would, and reports the
+    96 skipped iterations in one event instead of their reseeds."""
+    points = np.array([[0.1, 0.1], [0.1, 0.1]])
+    weights = np.array([3.0, 3.0])
+    centroids = np.array([[0.1, 0.1], [0.1, 0.1]])
+    with obs_events.session() as log:
+        got = _lloyd(points, weights, centroids.copy(), 100)
+        records = log.records()
+    want = _lloyd_reference(points, weights, centroids.copy(), 100)
+    assert got[0].tolist() == want[0].tolist()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got[2] == want[2]
+    cycles = [r for r in records if r.name == "simpoint.cycle"]
+    assert len(cycles) == 1
+    assert cycles[0].level == "DEBUG"
+    assert dict(cycles[0].fields) == {"k": 2, "period": 2, "skipped": 96}
+    reseeds = [r for r in records if r.name == "simpoint.reseed"]
+    assert len(reseeds) == 4
