@@ -18,6 +18,7 @@ one trace rooted at this client call.
 from __future__ import annotations
 
 import json
+import math
 import time
 import urllib.error
 import urllib.request
@@ -40,7 +41,8 @@ def _retry_after_seconds(headers: Any) -> float | None:
         value = float(raw)
     except (TypeError, ValueError):
         return None
-    return value if value >= 0.0 else None
+    # A non-finite hint (``inf``, ``1e400``) would overflow time.sleep.
+    return value if math.isfinite(value) and value >= 0.0 else None
 
 
 class ServeError(RuntimeError):

@@ -148,7 +148,7 @@ class JobSpec:
                     raise ProtocolError(
                         f"{field} must be a string, got {kwargs[field]!r}"
                     )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, ProtocolError):
                 raise
             raise ProtocolError(f"malformed job spec: {exc}") from None

@@ -148,6 +148,11 @@ class JobQueue:
         self.workers = workers
         self.capacity = capacity
         self._jobs: dict[str, _Job] = {}
+        # Kept up to date at every transition (``_move``), so a submit or
+        # a scrape costs the same however many jobs the daemon has held.
+        self._state_counts = {state: 0 for state in JobState.ALL}
+        #: Queued + running jobs per client (absent = none).
+        self._in_flight: dict[str, int] = {}
         self._heap: list[tuple[tuple[int, int, int], str]] = []
         self._running: set[str] = set()
         self._seq = 0
@@ -247,9 +252,7 @@ class JobQueue:
         tm = telemetry.get()
         if self._closing:
             raise QueueFull("daemon is shutting down")
-        queued = sum(
-            1 for j in self._jobs.values() if j.state == JobState.QUEUED
-        )
+        queued = self._state_counts[JobState.QUEUED]
         if queued >= self.capacity:
             tm.inc("serve.jobs_rejected")
             obs_events.get().warn(
@@ -262,14 +265,11 @@ class JobQueue:
                 "retry later"
             )
         self._seq += 1
-        rank = sum(
-            1
-            for j in self._jobs.values()
-            if j.spec.client == spec.client
-            and j.state in (JobState.QUEUED, JobState.RUNNING)
-        )
+        rank = self._in_flight.get(spec.client, 0)
         job = _Job(f"j{self._seq:06d}", spec, self._seq, rank)
         self._jobs[job.id] = job
+        self._state_counts[JobState.QUEUED] += 1
+        self._in_flight[spec.client] = rank + 1
         heapq.heappush(self._heap, (job.order_key, job.id))
         self._wake.set()
         tm.inc("serve.jobs_submitted")
@@ -285,7 +285,7 @@ class JobQueue:
         if job is None:
             raise UnknownJob(job_id)
         if job.state == JobState.QUEUED:
-            job.state = JobState.CANCELLED
+            self._move(job, JobState.CANCELLED)
             job.cancel.set()
             job.ended_unix = time.time()
             self._finalize(job)
@@ -308,9 +308,7 @@ class JobQueue:
         ]
 
     async def _counts(self) -> dict[str, int]:
-        counts = {state: 0 for state in JobState.ALL}
-        for job in self._jobs.values():
-            counts[job.state] += 1
+        counts = dict(self._state_counts)
         counts["workers"] = self.workers
         counts["capacity"] = self.capacity
         return counts
@@ -330,7 +328,7 @@ class JobQueue:
         self._closing = True
         for job in self._jobs.values():
             if job.state == JobState.QUEUED:
-                job.state = JobState.CANCELLED
+                self._move(job, JobState.CANCELLED)
                 job.cancel.set()
                 job.ended_unix = time.time()
                 self._finalize(job)
@@ -352,7 +350,7 @@ class JobQueue:
                 # Claim the job *before* the task runs so a cancel that
                 # lands in between sees RUNNING (token set, checkpoint
                 # abort) rather than double-finalizing a queued job.
-                job.state = JobState.RUNNING
+                self._move(job, JobState.RUNNING)
                 self._running.add(job.id)
                 asyncio.get_running_loop().create_task(self._run_job(job))
 
@@ -373,16 +371,28 @@ class JobQueue:
             job.result = await loop.run_in_executor(
                 self._executor, self._execute_traced, job
             )
-            job.state = JobState.DONE
+            state = JobState.DONE
         except JobCancelled:
-            job.state = JobState.CANCELLED
+            state = JobState.CANCELLED
         except Exception as exc:
-            job.state = JobState.FAILED
+            state = JobState.FAILED
             job.error = f"{type(exc).__name__}: {exc}"
+        self._move(job, state)
         job.ended_unix = time.time()
         self._running.discard(job.id)
         self._finalize(job)
         self._wake.set()
+
+    def _move(self, job: _Job, state: str) -> None:
+        """Every state change goes through here, to keep the counts."""
+        self._state_counts[job.state] -= 1
+        self._state_counts[state] += 1
+        if state in JobState.TERMINAL:
+            client = job.spec.client
+            self._in_flight[client] -= 1
+            if not self._in_flight[client]:
+                del self._in_flight[client]
+        job.state = state
 
     def _execute_traced(self, job: _Job) -> Mapping[str, Any]:
         """Run the work function on a worker thread under the job's

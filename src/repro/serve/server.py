@@ -270,14 +270,19 @@ class _ServeHandler(obs_live._Handler):
         self.wfile.write(body)
 
     def _send_error_json(self, status: int, message: str,
-                         retry_after: float | None = None) -> None:
+                         retry_after: int | None = None) -> None:
         headers = {}
         if retry_after is not None:
             headers["Retry-After"] = str(retry_after)
         self._send_json({"error": message}, status, headers)
 
     def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        # Digits only (RFC 9110): a negative length would block read()
+        # until the client hangs up.
+        if not (header.isascii() and header.isdigit()):
+            raise ProtocolError(f"malformed Content-Length {header!r}")
+        length = int(header)
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ProtocolError("empty request body (expected a JSON spec)")
@@ -342,7 +347,8 @@ class _ServeHandler(obs_live._Handler):
         except ProtocolError as exc:
             self._send_error_json(400, str(exc))
         except QueueFull as exc:
-            self._send_error_json(429, str(exc), retry_after=1.0)
+            # Delay-seconds are digits only (RFC 9110).
+            self._send_error_json(429, str(exc), retry_after=1)
         except UnknownJob as exc:
             self._send_error_json(404, f"unknown job {exc.args[0]!r}")
         except Exception as exc:

@@ -11,7 +11,11 @@ the issue names -- zero lost jobs.
 
 from __future__ import annotations
 
+import collections
 import json
+import math
+import operator
+import re
 import socket
 import threading
 import time
@@ -81,6 +85,9 @@ def test_spec_from_json_coerces_numeric_strings():
         {"kind": "select", "app": APP, "scheme": "nope"},
         {"kind": "select", "app": APP, "feature": "nope"},
         {"kind": "profile", "app": APP, "client": 7},
+        {"kind": "profile", "app": APP, "seed": 1e400},
+        {"kind": "profile", "app": APP, "priority": -math.inf},
+        {"kind": "profile", "app": APP, "jobs": math.inf},
     ],
 )
 def test_spec_rejects_malformed_payloads(payload):
@@ -303,6 +310,84 @@ def test_every_submitted_job_reaches_exactly_one_terminal_state(make_queue):
         ) == 10
 
 
+def test_kept_counts_match_a_full_recount_at_every_step(make_queue,
+                                                       monkeypatch):
+    """Per-state and per-client counts are kept at each transition, not
+    recounted; drive a few thousand instant jobs through submit, cancel,
+    fail and done and recount every job after each step."""
+    gate = threading.Event()
+
+    def instant(spec: JobSpec, cancel: threading.Event) -> dict:
+        gate.wait(timeout=10.0)
+        if cancel.is_set():
+            raise JobCancelled()
+        if spec.seed % 7 == 3:
+            raise RuntimeError("instant failure")
+        return {}
+
+    queue = make_queue(instant, workers=2, capacity=10_000)
+    mismatches: list[str] = []
+    checks = collections.Counter()
+    state_and_client = operator.attrgetter("state", "spec.client")
+
+    def recount(step: str) -> None:
+        """Loop thread only: compare the kept counts with the jobs."""
+        checks[step] += 1
+        pairs = collections.Counter(
+            map(state_and_client, queue._jobs.values())
+        )
+        states = {state: 0 for state in JobState.ALL}
+        in_flight = collections.Counter()
+        for (state, client), n in pairs.items():
+            states[state] += n
+            if state not in JobState.TERMINAL:
+                in_flight[client] += n
+        if queue._state_counts != states:
+            mismatches.append(f"{step}: {queue._state_counts} != {states}")
+        if queue._in_flight != dict(in_flight):
+            mismatches.append(f"{step}: {queue._in_flight} != {in_flight}")
+
+    move = queue._move
+
+    def checked_move(job, state):
+        move(job, state)
+        recount(state)
+
+    async def check_on_loop(step: str) -> None:
+        recount(step)
+
+    monkeypatch.setattr(queue, "_move", checked_move)
+    rounds, per_round = 20, 100
+    for first in range(0, rounds * per_round, per_round):
+        gate.clear()
+        views = []
+        for seed in range(first, first + per_round):
+            views.append(
+                queue.submit(_spec(seed=seed, client=f"c{seed % 5}"))
+            )
+            queue._call(check_on_loop("submit"))
+        # Every fourth job: queued ones cancel at once, the running
+        # ones (blocked on the gate) at their checkpoint.
+        for view in views[::4]:
+            queue.cancel(view["id"])
+            queue._call(check_on_loop("cancel"))
+        gate.set()
+        assert queue.join(timeout=10.0)
+    seeds = range(rounds * per_round)
+    cancelled = sum(1 for seed in seeds if seed % 4 == 0)
+    failed = sum(1 for seed in seeds if seed % 4 and seed % 7 == 3)
+    assert not mismatches, mismatches[:5]
+    assert queue.counts() == {
+        "queued": 0, "running": 0, "done": len(seeds) - cancelled - failed,
+        "failed": failed, "cancelled": cancelled,
+        "workers": 2, "capacity": 10_000,
+    }
+    assert queue._in_flight == {}
+    assert checks["submit"] == len(seeds) and checks["cancel"] == cancelled
+    assert checks[JobState.RUNNING] > 0
+    assert checks[JobState.DONE] + checks[JobState.FAILED] > 0
+
+
 def test_stop_cancels_queued_work_and_rejects_new(make_queue):
     work = _StubWork()
     queue = make_queue(work, workers=1, capacity=16)
@@ -381,6 +466,52 @@ def test_http_malformed_specs_are_400(daemon):
         with pytest.raises(urllib.error.HTTPError) as http_err:
             urllib.request.urlopen(request, timeout=5)
         assert http_err.value.code == 400
+
+
+def _raw_post(
+    port: int, body: bytes, length: str | None = None
+) -> tuple[int, dict[str, str]]:
+    """One hand-written ``POST /v1/jobs``; returns (status, headers).
+
+    The socket stays open while waiting for the reply, so a handler
+    that waits for the client to hang up times the test out.
+    """
+    length = str(len(body)) if length is None else length
+    request = (
+        f"POST /v1/jobs HTTP/1.1\r\nHost: 127.0.0.1:{port}\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {length}\r\n"
+        "\r\n"
+    ).encode() + body
+    with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
+        sock.sendall(request)
+        with sock.makefile("rb") as reply:
+            status = int(reply.readline().split()[1])
+            headers = {}
+            while (line := reply.readline().strip()):
+                name, _, value = line.decode().partition(":")
+                headers[name.strip()] = value.strip()
+    return status, headers
+
+
+@pytest.mark.parametrize(
+    "length, body",
+    [
+        ("abc", b'{"kind": "profile"}'),
+        ("-1", b'{"kind": "profile"}'),
+        (None, b'{"kind": "profile", "app": "%s", "seed": 1e400}'),
+        (None, b'{"kind": "profile", "app": "%s", "priority": -Infinity}'),
+        (None, b'{"kind": "profile", "app": "%s", "jobs": Infinity}'),
+    ],
+    ids=["length-abc", "length-negative", "seed-1e400",
+         "priority-minus-infinity", "jobs-infinity"],
+)
+def test_http_malformed_posts_are_400_on_a_raw_socket(daemon, length, body):
+    body = body.replace(b"%s", APP.encode())
+    status, _ = _raw_post(daemon.port, body, length)
+    assert status == 400
+    # The handler is free again: a good spec still goes through.
+    good = json.dumps({"kind": "profile", "app": APP}).encode()
+    assert _raw_post(daemon.port, good)[0] == 202
 
 
 def test_http_unknown_job_and_path_are_404(daemon):
@@ -506,6 +637,86 @@ def test_submit_with_retry_sleeps_the_advertised_retry_after(monkeypatch):
     assert view["id"] == "j-1"
     # Both 429s carried Retry-After: 7 -- never the 0.25s backoff.
     assert slept == [7.0, 7.0]
+
+
+def test_http_429_retry_after_is_integer_seconds(monkeypatch):
+    """RFC 9110 delay-seconds are digits only; ``1.0`` is rejected by
+    strict clients."""
+    import repro.serve.server as server_mod
+
+    gate = threading.Event()
+
+    def blocking_execute(spec, cancel=None, cache=None,
+                         sim_engine="batched"):
+        gate.wait(timeout=10.0)
+        return {"seed": spec.seed}
+
+    monkeypatch.setattr(server_mod, "execute_job", blocking_execute)
+    active = ServeDaemon(port=0, workers=1, capacity=1)
+    active.start()
+    try:
+        client = ServeClient(active.port)
+        first = client.submit("profile", APP, seed=1)
+        deadline = time.monotonic() + 5.0
+        while client.job(first["id"])["state"] != JobState.RUNNING:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        client.submit("profile", APP, seed=2)  # fills the queue
+        body = json.dumps({"kind": "profile", "app": APP}).encode()
+        status, headers = _raw_post(active.port, body)
+        assert status == 429
+        assert re.fullmatch(r"\d+", headers["Retry-After"])
+    finally:
+        gate.set()
+        active.stop()
+
+
+@pytest.mark.parametrize("hint", ["inf", "1e400"])
+def test_submit_with_retry_ignores_a_non_finite_retry_after(monkeypatch,
+                                                            hint):
+    """A hint ``time.sleep`` cannot take is treated as absent: the
+    client's own backoff applies."""
+    import http.server
+
+    import repro.serve.client as client_mod
+
+    class _Stub(http.server.BaseHTTPRequestHandler):
+        attempts = 0
+
+        def do_POST(self):
+            self.rfile.read(int(self.headers.get("Content-Length", 0)))
+            _Stub.attempts += 1
+            status, payload = (
+                (429, {"error": "queue full"}) if _Stub.attempts <= 2
+                else (202, {"id": "j-1", "state": "queued"})
+            )
+            body = json.dumps(payload).encode()
+            self.send_response(status)
+            if status == 429:
+                self.send_header("Retry-After", hint)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _Stub)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    slept = []
+    monkeypatch.setattr(client_mod.time, "sleep", slept.append)
+    try:
+        client = ServeClient(server.server_address[1])
+        view = client.submit_with_retry(
+            "profile", APP, backoff_seconds=0.25
+        )
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert view["id"] == "j-1"
+    assert slept == [0.25, 0.375]
 
 
 def test_submit_with_retry_backs_off_without_a_hint(monkeypatch):
