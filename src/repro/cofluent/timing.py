@@ -47,9 +47,6 @@ class TimingTrace:
     def total_seconds(self) -> float:
         return sum(t.seconds for t in self.timings)
 
-    def seconds_by_index(self) -> dict[int, float]:
-        return {t.index: t.seconds for t in self.timings}
-
     @property
     def flaky_count(self) -> int:
         """How many samples the ``timing.flaky`` fault site glitched."""

@@ -108,8 +108,8 @@ class DeviceProvider:
     """One GPU backend: a device table plus shared capability flags.
 
     Subclasses set :attr:`name` and :attr:`capabilities` and implement
-    :meth:`devices`; everything else (lookup, cache geometry, frequency
-    ladders, binary validation) is shared behaviour defined here.
+    :meth:`devices`; everything else (lookup, cache geometry, binary
+    validation) is shared behaviour defined here.
     """
 
     #: Registry key, e.g. ``"gen"``; also ``DeviceSpec.provider``.
@@ -153,12 +153,6 @@ class DeviceProvider:
             line_bytes=self.capabilities.cache_line_bytes,
             ways=self.capabilities.cache_ways,
         )
-
-    def frequency_ladder(
-        self, spec: DeviceSpec, frequencies_mhz: tuple[float, ...]
-    ) -> tuple[DeviceSpec, ...]:
-        """Figure-8-style re-clocked variants of one device."""
-        return tuple(spec.at_frequency(mhz) for mhz in frequencies_mhz)
 
     def validate_binary(self, binary) -> None:
         """Reject a kernel binary this backend cannot execute.

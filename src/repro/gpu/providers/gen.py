@@ -13,12 +13,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.gpu.device import (
-    FIGURE_8_FREQUENCIES_MHZ,
-    HD4000,
-    HD4600,
-    DeviceSpec,
-)
+from repro.gpu.device import HD4000, HD4600, DeviceSpec
 from repro.gpu.providers.base import DeviceProvider, ProviderCapabilities
 from repro.gpu.timing import TimingParameters
 from repro.isa.instruction import EXEC_SIZES
@@ -42,7 +37,3 @@ class GenProvider(DeviceProvider):
 
     def devices(self) -> Mapping[str, DeviceSpec]:
         return {"hd4000": HD4000, "hd4600": HD4600}
-
-    def figure8_ladder(self) -> tuple[DeviceSpec, ...]:
-        """The HD 4000 re-clocked down Figure 8's frequency ladder."""
-        return self.frequency_ladder(HD4000, FIGURE_8_FREQUENCIES_MHZ)

@@ -1,9 +1,11 @@
 """Per-interval feature vectors (Table III).
 
 Each interval is summarized as a sparse ``{event key: weighted count}``
-vector.  Keys are program events at two granularities -- kernels (KN
-family) or basic blocks (BB family) -- optionally specialized by data
-interaction (argument values, global work size, memory bytes).
+vector; :func:`build_feature_vectors` returns all intervals' vectors as
+one :class:`FeatureMatrix`.  Keys are program events at two
+granularities -- kernels (KN family) or basic blocks (BB family) --
+optionally specialized by data interaction (argument values, global
+work size, memory bytes).
 
 Following Section V-B, every computational entry is **weighted by
 instruction count**: an interval that executes block A 10 times (3
@@ -19,8 +21,10 @@ treat it as a modelled design decision (see DESIGN.md).
 
 from __future__ import annotations
 
+import dataclasses
 import enum
-import itertools
+import operator
+from collections import abc
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -166,98 +170,165 @@ def feature_vector(
     return vector
 
 
-def _block_vectors_batched(
+@dataclasses.dataclass(frozen=True, eq=False)
+class FeatureMatrix(abc.Sequence):
+    """Every interval's feature vector, as one sparse COO matrix.
+
+    Element ``e`` is ``values[e]`` for interval ``rows[e]`` and key
+    ``keys[cols[e]]``.  Elements run in row order and, within a row, in
+    :func:`feature_vector`'s key order; no (row, column) pair repeats.
+    Column ids number keys by first occurrence.  As a read-only
+    sequence, row ``i`` is :func:`feature_vector`'s dict (same keys, key
+    order and Python ``float`` values).
+    """
+
+    rows: np.ndarray  # (nnz,) int64 interval index, non-decreasing
+    cols: np.ndarray  # (nnz,) int64 index into ``keys``
+    values: np.ndarray  # (nnz,) float64
+    keys: tuple[Hashable, ...]
+    n_rows: int
+
+    @classmethod
+    def from_vectors(cls, vectors: Sequence[FeatureVector]) -> FeatureMatrix:
+        """The matrix of a sequence of dicts; a matrix is returned as is."""
+        if isinstance(vectors, FeatureMatrix):
+            return vectors
+        ids: dict[Hashable, int] = {}
+        rows: list[int] = []
+        cols: list[int] = []
+        values: list[float] = []
+        for i, vector in enumerate(vectors):
+            for key, value in vector.items():
+                rows.append(i)
+                cols.append(ids.setdefault(key, len(ids)))
+                values.append(value)
+        return cls(
+            rows=np.asarray(rows, dtype=np.int64),
+            cols=np.asarray(cols, dtype=np.int64),
+            values=np.asarray(values, dtype=np.float64),
+            keys=tuple(ids),
+            n_rows=len(vectors),
+        )
+
+    def __len__(self) -> int:
+        return self.n_rows
+
+    def __getitem__(
+        self, index: int | slice
+    ) -> FeatureVector | list[FeatureVector]:
+        picked = range(self.n_rows)[index]  # list semantics, IndexError
+        if isinstance(picked, range):
+            return [self[i] for i in picked]
+        lo, hi = np.searchsorted(self.rows, [picked, picked + 1])
+        keys = map(self.keys.__getitem__, self.cols[lo:hi].tolist())
+        return dict(zip(keys, self.values[lo:hi].tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, abc.Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
+def _block_matrix(
     log: InvocationLog,
     intervals: Sequence[Interval],
     kind: FeatureKind,
     weighted: bool,
-) -> list[FeatureVector]:
-    """BB-family vectors with per-kernel matrix sums instead of per-block
-    dict accumulation.
+) -> FeatureMatrix:
+    """BB-family features by array passes over per-kernel prefix sums.
 
     Bit-identical to :func:`feature_vector`: every contribution is an
     integer (block counts times static per-block integers), and each of
     the scalar path's partial float sums is an exactly representable
     integer, so summing in int64 and converting once yields the same
-    floats.  Key *insertion order* is reconstructed exactly -- the scalar
-    path inserts a key at the first invocation that executes the block,
-    ascending block id within an invocation, which is precisely the sort
-    by (first executing invocation, block id).
+    floats.  The scalar path inserts a block's keys at the first
+    invocation that executes it, ascending block id within an
+    invocation, one family after another: element order is the sort by
+    (interval, first executing invocation, block id), families side by
+    side.
     """
-    # One pass groups invocations by kernel; intervals are contiguous
-    # invocation ranges, so a per-kernel prefix-sum matrix turns any
-    # interval's summed block counts into a single subtraction -- and all
-    # intervals of one kernel process as single array operations.
+    families = {
+        FeatureKind.BB: ("bb",),
+        FeatureKind.BB_R: ("bb", "bb_r"),
+        FeatureKind.BB_W: ("bb", "bb_w"),
+        FeatureKind.BB_R_W: ("bb", "bb_r", "bb_w"),
+        FeatureKind.BB_R_PLUS_W: ("bb", "bb_rw"),
+    }[kind]
     groups: dict[str, list[int]] = {}
     for i, profile in enumerate(log.invocations):
         groups.setdefault(profile.kernel_name, []).append(i)
+    kernels = list(groups)
     starts = np.asarray([iv.start for iv in intervals], dtype=np.int64)
     stops = np.asarray([iv.stop for iv in intervals], dtype=np.int64)
-    chunks: list[list] = [[] for _ in intervals]
-    for kernel, idx_list in groups.items():
-        positions = np.asarray(idx_list, dtype=np.int64)
+    # Intervals are contiguous invocation ranges, so a per-kernel
+    # prefix-sum matrix gives every interval's summed block counts by one
+    # subtraction.  A kernel's part has, per (interval, executed block):
+    # interval, first executing invocation, kernel id, block id and one
+    # value per family.
+    parts: list[tuple[np.ndarray, ...]] = []
+    width = 0  # the most blocks any kernel has
+    for g, kernel in enumerate(kernels):
+        positions = np.asarray(groups[kernel], dtype=np.int64)
         counts = np.vstack(
-            [log.invocations[i].block_counts for i in idx_list]
+            [log.invocations[i].block_counts for i in groups[kernel]]
         )
         n_inv, n_blocks = counts.shape
+        width = max(width, n_blocks)
         prefix = np.zeros((n_inv + 1, n_blocks), dtype=np.int64)
         np.cumsum(counts, axis=0, out=prefix[1:])
         # nxt[r, b]: first row >= r executing block b (n_inv = never).
-        present = counts > 0
-        nxt = np.empty((n_inv + 1, n_blocks), dtype=np.int64)
-        nxt[n_inv] = n_inv
-        for r in range(n_inv - 1, -1, -1):
-            nxt[r] = np.where(present[r], r, nxt[r + 1])
-        arrays = log.binary(kernel).arrays
-
+        nxt = np.where(counts > 0, np.arange(n_inv)[:, None], n_inv)
+        nxt = np.minimum.accumulate(nxt[::-1], axis=0)[::-1]
         lo = np.searchsorted(positions, starts)
         hi = np.searchsorted(positions, stops)
         active = np.nonzero(hi > lo)[0]
-        if active.size == 0:
-            continue
         summed = prefix[hi[active]] - prefix[lo[active]]
         rows, blocks = np.nonzero(summed)
-        if rows.size == 0:
-            continue
-        firsts = positions[nxt[lo[active[rows]], blocks]]
         hot = summed[rows, blocks]
-        base = hot * arrays.instruction_counts[blocks] if weighted else hot
+        arrays = log.binary(kernel).arrays
         reads = hot * arrays.bytes_read[blocks]
         writes = hot * arrays.bytes_written[blocks]
-        occurrences = list(
-            zip(
-                firsts.tolist(),
-                blocks.tolist(),
-                itertools.repeat(kernel),
-                base.tolist(),
-                reads.tolist(),
-                writes.tolist(),
-            )
-        )
-        # ``np.nonzero`` is row-major: each active interval's occurrences
-        # form one contiguous run, delimited by where ``rows`` steps.
-        bounds = np.searchsorted(rows, np.arange(active.size + 1))
-        for j, iv_idx in enumerate(active.tolist()):
-            if bounds[j] != bounds[j + 1]:
-                chunks[iv_idx].extend(occurrences[bounds[j]:bounds[j + 1]])
-
-    vectors: list[FeatureVector] = []
-    for flat in chunks:
-        # (first executing invocation, block id) is unique across the
-        # interval's occurrences, so the plain tuple sort never compares
-        # the kernel names behind them.
-        flat.sort()
-        vector: FeatureVector = {}
-        for _, block_id, kernel, base, read, write in flat:
-            vector[("bb", kernel, block_id)] = float(base)
-            if kind in (FeatureKind.BB_R, FeatureKind.BB_R_W):
-                vector[("bb_r", kernel, block_id)] = float(read)
-            if kind in (FeatureKind.BB_W, FeatureKind.BB_R_W):
-                vector[("bb_w", kernel, block_id)] = float(write)
-            if kind is FeatureKind.BB_R_PLUS_W:
-                vector[("bb_rw", kernel, block_id)] = float(read + write)
-        vectors.append(vector)
-    return vectors
+        values = {
+            "bb": hot * arrays.instruction_counts[blocks] if weighted else hot,
+            "bb_r": reads,
+            "bb_w": writes,
+            "bb_rw": reads + writes,
+        }
+        parts.append((
+            active[rows],
+            positions[nxt[lo[active[rows]], blocks]],
+            np.full(rows.size, g),
+            blocks,
+            *(values[family] for family in families),
+        ))
+    ivs, firsts, kernel_ids, blocks, *family_values = (
+        np.concatenate(column) for column in zip(*parts)
+    )
+    order = np.lexsort((blocks, firsts, ivs))
+    n_fam = len(families)
+    # One integer code per key: (kernel id, block id, family) packed.
+    codes = (kernel_ids * width + blocks)[order, None] * n_fam
+    codes = (codes + np.arange(n_fam)).ravel()
+    # Column ids rank the distinct codes by their first element.
+    unique, first_element, inverse = np.unique(
+        codes, return_index=True, return_inverse=True
+    )
+    ranked = np.argsort(first_element)  # column id -> unique index
+    column_of = np.argsort(ranked)  # unique index -> column id
+    kernel_blocks, key_families = np.divmod(unique[ranked], n_fam)
+    key_kernels, key_blocks = np.divmod(kernel_blocks, width)
+    keys = zip(
+        [families[f] for f in key_families.tolist()],
+        [kernels[g] for g in key_kernels.tolist()],
+        key_blocks.tolist(),
+    )
+    return FeatureMatrix(
+        rows=np.repeat(ivs[order], n_fam),
+        cols=column_of[inverse],
+        values=np.stack(family_values, axis=1)[order].ravel().astype(float),
+        keys=tuple(keys),
+        n_rows=len(intervals),
+    )
 
 
 def build_feature_vectors(
@@ -265,16 +336,19 @@ def build_feature_vectors(
     intervals: Sequence[Interval],
     kind: FeatureKind,
     weighted: bool = True,
-) -> list[FeatureVector]:
-    """Feature vectors for every interval, in interval order.
+) -> FeatureMatrix:
+    """Feature vectors for every interval, in interval order, as a matrix.
 
     ``weighted=False`` disables the instruction-count weighting -- kept
     for the ablation study of that design choice.
 
-    Block-family kinds run through the batched builder (bit-identical to
-    the per-invocation accumulation, including key order); kernel-family
-    kinds are one event per invocation and stay scalar.
+    Block-family kinds are built by array code (bit-identical to the
+    per-invocation accumulation, element order included); kernel-family
+    kinds are one event per invocation, built by :func:`feature_vector`
+    and packed into the matrix.
     """
     if kind.is_block_based:
-        return _block_vectors_batched(log, intervals, kind, weighted)
-    return [feature_vector(log, iv, kind, weighted) for iv in intervals]
+        return _block_matrix(log, intervals, kind, weighted)
+    return FeatureMatrix.from_vectors(
+        [feature_vector(log, iv, kind, weighted) for iv in intervals]
+    )

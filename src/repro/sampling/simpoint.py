@@ -26,12 +26,12 @@ may return fewer than this maximum" -- both behaviours are preserved
 from __future__ import annotations
 
 import dataclasses
-from typing import Hashable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.obs import events as _events
-from repro.sampling.features import FeatureVector
+from repro.sampling.features import FeatureMatrix, FeatureVector
 
 
 @dataclasses.dataclass(frozen=True)
@@ -98,40 +98,32 @@ def project_features(
     """Normalize sparse vectors and randomly project to ``dim`` dims.
 
     Every distinct key across all intervals gets a random direction in
-    ``[-1, 1]^dim`` (SimPoint's projection); an interval's projected
-    vector is the frequency-weighted sum of its keys' directions.
+    ``[-1, 1]^dim`` (SimPoint's projection), drawn in the matrix's
+    column order -- first occurrence; an interval's projected vector is
+    the frequency-weighted sum of its keys' directions.  Dicts are
+    converted once by :meth:`FeatureMatrix.from_vectors`.
     """
-    keys: dict[Hashable, int] = {}
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for i, vector in enumerate(vectors):
-        for key, value in vector.items():
-            idx = keys.get(key)
-            if idx is None:
-                idx = len(keys)
-                keys[key] = idx
-            rows.append(i)
-            cols.append(idx)
-            vals.append(value)
+    matrix = FeatureMatrix.from_vectors(vectors)
     rng = np.random.default_rng(seed)
-    directions = rng.uniform(-1.0, 1.0, size=(max(1, len(keys)), dim))
-    projected = np.zeros((len(vectors), dim), dtype=np.float64)
-    if not rows:
-        return projected
-    # One unbuffered scatter-add over all (interval, key) occurrences.
-    # Occurrences are emitted in the same order the scalar loop visited
-    # them, and ``np.add.at`` (like ``bincount``) accumulates in element
-    # order, so the result is bit-identical to per-key accumulation.
-    row_arr = np.asarray(rows, dtype=np.int64)
-    col_arr = np.asarray(cols, dtype=np.int64)
-    val_arr = np.asarray(vals, dtype=np.float64)
-    totals = np.bincount(row_arr, weights=val_arr, minlength=len(vectors))
-    keep = totals[row_arr] > 0
+    directions = rng.uniform(-1.0, 1.0, size=(max(1, len(matrix.keys)), dim))
+    n = matrix.n_rows
+    rows, cols, values = matrix.rows, matrix.cols, matrix.values
+    # ``bincount`` adds each bin's weights in element order, from 0.0 --
+    # the order the scalar loop visits a dict's keys -- so the row
+    # totals and every projected coordinate are the same bits as
+    # per-key accumulation.  Zero-total rows stay at the origin.
+    totals = np.bincount(rows, weights=values, minlength=n)
+    keep = totals[rows] > 0
     if not keep.all():
-        row_arr, col_arr, val_arr = row_arr[keep], col_arr[keep], val_arr[keep]
-    coeffs = val_arr / totals[row_arr]
-    np.add.at(projected, row_arr, coeffs[:, None] * directions[col_arr])
+        rows, cols, values = rows[keep], cols[keep], values[keep]
+    coeffs = values / totals[rows]
+    # One dimension at a time: no temporary holds more than one value
+    # per element.
+    projected = np.empty((n, dim), dtype=np.float64)
+    for d, direction in enumerate(np.ascontiguousarray(directions.T)):
+        projected[:, d] = np.bincount(
+            rows, weights=coeffs * direction[cols], minlength=n
+        )
     return projected
 
 

@@ -18,10 +18,10 @@ back into this library's error/validation machinery.
 from __future__ import annotations
 
 import dataclasses
-import io
-from typing import Hashable, Sequence, TextIO
+import math
+from typing import Callable, Hashable, Sequence, TextIO, TypeVar
 
-from repro.sampling.features import FeatureVector
+from repro.sampling.features import FeatureMatrix, FeatureVector
 from repro.sampling.intervals import Interval
 from repro.sampling.selection import (
     SelectedInterval,
@@ -29,6 +29,8 @@ from repro.sampling.selection import (
     SelectionConfig,
 )
 from repro.sampling.simpoint import SimPointResult
+
+T = TypeVar("T", int, float)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -39,12 +41,9 @@ class DimensionMap:
 
     @staticmethod
     def build(vectors: Sequence[FeatureVector]) -> "DimensionMap":
-        mapping: dict[Hashable, int] = {}
-        for vector in vectors:
-            for key in vector:
-                if key not in mapping:
-                    mapping[key] = len(mapping) + 1  # SimPoint dims are 1-based
-        return DimensionMap(mapping)
+        keys = FeatureMatrix.from_vectors(vectors).keys
+        # SimPoint dims are 1-based.
+        return DimensionMap({key: dim for dim, key in enumerate(keys, 1)})
 
     @property
     def n_dimensions(self) -> int:
@@ -101,7 +100,13 @@ def read_frequency_vectors(source: TextIO) -> list[dict[int, float]]:
                 raise ValueError(
                     f"line {line_no}: dimensions are 1-based, got {dim}"
                 )
-            vector[dim] = vector.get(dim, 0.0) + count
+            total = vector.get(dim, 0.0) + count
+            if count < 0 or not math.isfinite(total):
+                raise ValueError(
+                    f"line {line_no}: counts must be finite and "
+                    f"non-negative, got {count_text!r}"
+                )
+            vector[dim] = total
         vectors.append(vector)
     return vectors
 
@@ -117,6 +122,31 @@ def write_simpoints(
         weights_out.write(f"{ratio:.6f} {cluster}\n")
 
 
+def _read_by_cluster(
+    source: TextIO, name: str, parse: Callable[[str], T]
+) -> dict[int, T]:
+    """``<value> <cluster>`` lines as ``{cluster: value}``.  A malformed
+    line, or a value that is negative or not finite, raises
+    ``ValueError`` naming the file and the line number."""
+    by_cluster: dict[int, T] = {}
+    for line_no, raw in enumerate(source, 1):
+        fields = raw.split()
+        if not fields:
+            continue
+        try:
+            value_text, cluster_text = fields
+            cluster, value = int(cluster_text), parse(value_text)
+        except ValueError as exc:
+            raise ValueError(f"{name} line {line_no}: {exc}") from exc
+        if not 0 <= value < math.inf:
+            raise ValueError(
+                f"{name} line {line_no}: values must be finite and "
+                f"non-negative, got {value_text!r}"
+            )
+        by_cluster[cluster] = value
+    return by_cluster
+
+
 def read_simpoints(
     simpoints_in: TextIO, weights_in: TextIO
 ) -> list[tuple[int, float]]:
@@ -125,20 +155,8 @@ def read_simpoints(
     Lines are matched by cluster label (SimPoint does not guarantee
     ordering), and the weights are validated to sum to ~1.
     """
-    points: dict[int, int] = {}
-    for raw in simpoints_in:
-        line = raw.strip()
-        if not line:
-            continue
-        interval_text, cluster_text = line.split()
-        points[int(cluster_text)] = int(interval_text)
-    weights: dict[int, float] = {}
-    for raw in weights_in:
-        line = raw.strip()
-        if not line:
-            continue
-        weight_text, cluster_text = line.split()
-        weights[int(cluster_text)] = float(weight_text)
+    points = _read_by_cluster(simpoints_in, "simpoints", int)
+    weights = _read_by_cluster(weights_in, "weights", float)
     if set(points) != set(weights):
         raise ValueError(
             f"simpoints clusters {sorted(points)} do not match weights "
@@ -178,10 +196,3 @@ def selection_from_simpoint_files(
         n_intervals=len(intervals),
         total_invocations=max(iv.stop for iv in intervals),
     )
-
-
-def selection_round_trip_text(result: SimPointResult) -> tuple[str, str]:
-    """Render a result's simpoints/weights files as strings (convenience)."""
-    simpoints_io, weights_io = io.StringIO(), io.StringIO()
-    write_simpoints(result, simpoints_io, weights_io)
-    return simpoints_io.getvalue(), weights_io.getvalue()

@@ -384,12 +384,6 @@ class DeltaAccumulator:
             totals[name] = totals.get(name, 0.0) + counter.value
         return totals
 
-    def counter_ops(self) -> dict[str, int]:
-        totals: dict[str, int] = {}
-        for (_, name), (_, counter) in sorted(self._counters.items()):
-            totals[name] = totals.get(name, 0) + counter.ops
-        return totals
-
     def gauge_totals(self) -> dict[str, GaugeSnapshot]:
         """Per-gauge aggregate across sources (count/total sums,
         min/max envelopes, ``last`` from the newest capture)."""

@@ -121,10 +121,6 @@ class SpanCollector:
         with self._lock:
             return list(self._records)
 
-    def open_depth(self) -> int:
-        """How many spans are open on the calling thread."""
-        return len(self._stacks.stack)
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._records)

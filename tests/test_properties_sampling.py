@@ -6,6 +6,8 @@ on: divisions partition, feature mass is conserved, selections stay
 within bounds, Eq. (1) behaves.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,13 +19,20 @@ from repro.sampling.explorer import evaluate_config
 from repro.sampling.features import (
     ALL_FEATURE_KINDS,
     FeatureKind,
+    FeatureMatrix,
     build_feature_vectors,
+    feature_vector,
 )
 from repro.sampling.intervals import IntervalScheme, divide
 from repro.sampling.selection import SelectionConfig
-from repro.sampling.simpoint import SimPointOptions
+from repro.sampling.simpoint import (
+    SimPointOptions,
+    project_features,
+    run_simpoint,
+)
 
 from conftest import build_tiny_kernel
+from test_sampling_simpoint import _project_reference
 
 #: Two fixed kernels shared by all generated logs (structure is constant;
 #: hypothesis varies the dynamic behaviour).
@@ -155,3 +164,78 @@ def test_selection_invariants_hold_for_any_log(log, scheme):
     assert result.error_percent == pytest.approx(
         spi_error_percent(selection, seconds, instructions)
     )
+
+
+@st.composite
+def sparse_logs(draw):
+    """``invocation_logs()`` cut to its first kernel or not, with at least
+    one invocation that executes no block (under the single-kernel
+    scheme that is an interval with no block, so an empty vector)."""
+    log = draw(invocation_logs())
+    profiles = list(log.invocations)
+    if draw(st.booleans()):
+        profiles = [
+            p for p in profiles if p.kernel_name == profiles[0].kernel_name
+        ]
+    for i in draw(st.sets(st.integers(0, len(profiles) - 1), min_size=1)):
+        profiles[i] = dataclasses.replace(
+            profiles[i],
+            block_counts=0 * profiles[i].block_counts,
+            instruction_count=0,
+            bytes_read=0,
+            bytes_written=0,
+        )
+    return InvocationLog(
+        invocations=tuple(
+            dataclasses.replace(p, index=i) for i, p in enumerate(profiles)
+        ),
+        binaries=log.binaries,
+    )
+
+
+@given(sparse_logs(), st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_feature_matrix_equals_scalar_vectors_and_projection(log, seed):
+    """For every kind, weighting and scheme: the matrix's rows are
+    ``feature_vector``'s dicts (keys, key order, value and key types),
+    and projecting the matrix gives ``_project_reference``'s bytes."""
+    single = divide(log, IntervalScheme.SINGLE_KERNEL)
+    assert {} in build_feature_vectors(log, single, FeatureKind.BB)
+    for scheme in IntervalScheme:
+        intervals = divide(log, scheme, approx_size=5_000)
+        for kind in ALL_FEATURE_KINDS:
+            for weighted in (True, False):
+                matrix = build_feature_vectors(log, intervals, kind, weighted)
+                scalar = [
+                    feature_vector(log, iv, kind, weighted) for iv in intervals
+                ]
+                assert isinstance(matrix, FeatureMatrix)
+                assert len(matrix) == len(scalar)
+                # ``repr`` tells 3 from np.int64(3) and 1.0 from
+                # np.float64(1.0), and lists the keys in order.
+                assert repr(list(matrix)) == repr(scalar)
+                assert matrix == scalar
+                got = project_features(matrix, 15, seed)
+                want = _project_reference(scalar, 15, seed)
+                assert got.tobytes() == want.tobytes()
+
+
+@given(
+    sparse_logs(),
+    st.sampled_from(ALL_FEATURE_KINDS),
+    st.sampled_from(list(IntervalScheme)),
+    st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_run_simpoint_on_matrix_equals_dicts(log, kind, scheme, weighted):
+    intervals = divide(log, scheme, approx_size=5_000)
+    matrix = build_feature_vectors(log, intervals, kind, weighted)
+    weights = [iv.n_invocations for iv in intervals]
+    options = SimPointOptions(max_k=4, restarts=2, max_iterations=20)
+    a = run_simpoint(matrix, weights, options)
+    b = run_simpoint(list(matrix), weights, options)
+    np.testing.assert_array_equal(a.labels, b.labels)
+    assert a.representatives == b.representatives
+    assert a.representation_ratios == b.representation_ratios
+    np.testing.assert_equal(a.bic_by_k, b.bic_by_k)
+    assert a.projected.tobytes() == b.projected.tobytes()

@@ -5,6 +5,7 @@ import pytest
 from repro.sampling.features import (
     ALL_FEATURE_KINDS,
     FeatureKind,
+    FeatureMatrix,
     build_feature_vectors,
     feature_vector,
 )
@@ -153,6 +154,26 @@ def test_vectors_differ_across_phases(log):
         set(a) != set(b) or a != b
         for a, b in zip(vectors, vectors[1:])
     )
+
+
+def test_feature_matrix_is_a_sequence_of_dicts(log, intervals):
+    matrix = build_feature_vectors(log, intervals, FeatureKind.BB_R_W)
+    dicts = list(matrix)
+    assert len(dicts) == len(intervals)
+    assert matrix[-1] == dicts[-1]
+    assert matrix[1:5:2] == dicts[1:5:2]
+    with pytest.raises(IndexError):
+        matrix[len(intervals)]
+    assert matrix == dicts and dicts == matrix
+    assert matrix != dicts[:-1]
+    assert FeatureMatrix.from_vectors(matrix) is matrix
+    rebuilt = FeatureMatrix.from_vectors(dicts)
+    assert rebuilt.keys == matrix.keys
+    for got, want in zip(
+        (rebuilt.rows, rebuilt.cols, rebuilt.values),
+        (matrix.rows, matrix.cols, matrix.values),
+    ):
+        assert got.tobytes() == want.tobytes()
 
 
 class TestBatchedEquivalence:

@@ -1,8 +1,11 @@
 """SimPoint 3.0 file-format interop (.bb / .simpoints / .weights)."""
 
 import io
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sampling.error import selection_error
 from repro.sampling.features import FeatureKind, build_feature_vectors
@@ -145,3 +148,93 @@ def test_selection_from_files_validates_interval_range(pipeline):
             io.StringIO("1.0 0\n"),
             log.total_instructions,
         )
+
+
+@pytest.mark.parametrize("count", ["nan", "inf", "-inf", "1e400", "-5"])
+def test_bbv_parser_rejects_non_finite_and_negative_counts(count):
+    with pytest.raises(ValueError, match="line 2: counts must be finite"):
+        read_frequency_vectors(io.StringIO(f"T :1:2\nT :1:{count}\n"))
+
+
+def test_bbv_parser_rejects_a_sum_that_overflows():
+    with pytest.raises(ValueError, match="line 1: counts must be finite"):
+        read_frequency_vectors(io.StringIO("T :1:1e308 :1:1e308\n"))
+
+
+@pytest.mark.parametrize(
+    "simpoints, weights, message",
+    [
+        ("5 0\n6\n", "0.5 0\n0.5 1\n", "simpoints line 2: not enough"),
+        ("5 0 1\n", "1.0 0\n", "simpoints line 1: too many"),
+        ("5 0\n", "1.0\n", "weights line 1: not enough"),
+        ("x 0\n", "1.0 0\n", "simpoints line 1: invalid literal"),
+        ("5 0\n", "1.0 y\n", "weights line 1: invalid literal"),
+        ("5 0\n", "one 0\n", "weights line 1: could not convert"),
+        ("5 0\n6 1\n", "1.5 0\n-0.5 1\n", "weights line 2: values must"),
+        ("5 0\n", "nan 0\n", "weights line 1: values must"),
+        ("5 0\n", "1e400 0\n", "weights line 1: values must"),
+        ("-1 0\n", "1.0 0\n", "simpoints line 1: values must"),
+    ],
+)
+def test_simpoints_parser_names_the_bad_line(simpoints, weights, message):
+    with pytest.raises(ValueError, match=message):
+        read_simpoints(io.StringIO(simpoints), io.StringIO(weights))
+
+
+#: Near-valid fragments, so generated files also reach the checks past
+#: tokenizing; free text covers the rest.
+_FRAGMENTS = st.sampled_from(
+    [
+        "T", ":1:2", ":2:0.5", ":0:1", ":1:nan", ":1:inf", ":1:1e400",
+        ":1:1e308", ":1:-5", ":x:1", "1:2", ":", "::", "#", "0", "1",
+        "2", "-1", "0.5", "1.0", "nan", "-inf", "1e400", "x", "\t",
+    ]
+)
+_FILES = st.one_of(
+    st.text(),
+    st.lists(
+        st.lists(_FRAGMENTS, max_size=4).map(" ".join), max_size=5
+    ).map("\n".join),
+)
+#: (interval, weight, cluster) per selected point, as text.
+_POINTS = st.lists(
+    st.tuples(
+        st.sampled_from(["0", "3", "-1", "x"]),
+        st.sampled_from(
+            ["1", "1.0", "0.5", "-0.5", "nan", "inf", "1e400", "x"]
+        ),
+        st.sampled_from(["0", "1", "2", "y", "0 1", ""]),
+    ),
+    max_size=3,
+)
+
+
+@given(_FILES)
+@settings(max_examples=200, deadline=None)
+def test_bbv_parser_parses_or_raises_value_error(text):
+    try:
+        vectors = read_frequency_vectors(io.StringIO(text))
+    except ValueError:
+        return
+    for vector in vectors:
+        assert all(dim >= 1 for dim in vector)
+        assert all(math.isfinite(v) and v >= 0 for v in vector.values())
+
+
+@given(_POINTS, st.sampled_from(["", "simpoints", "weights"]), _FILES)
+@settings(max_examples=200, deadline=None)
+def test_simpoints_parser_parses_or_raises_value_error(points, noisy, noise):
+    files = {
+        "simpoints": "\n".join(f"{p} {c}" for p, _, c in points),
+        "weights": "\n".join(f"{w} {c}" for _, w, c in points),
+    }
+    if noisy:
+        files[noisy] += "\n" + noise
+    try:
+        pairs = read_simpoints(
+            io.StringIO(files["simpoints"]), io.StringIO(files["weights"])
+        )
+    except ValueError:
+        return
+    assert all(p >= 0 and math.isfinite(w) and w >= 0 for p, w in pairs)
+    assert 0.99 <= sum(w for _, w in pairs) <= 1.01
