@@ -14,10 +14,10 @@ default, ``enable()/disable()/session()`` to switch.  Emit sites guard
 on ``log.enabled`` where they sit inside hot loops, so the off cost is
 one attribute check.
 
-Worker processes run their own session (the parallel pool ships worker
-records back with each task result and the parent folds them in -- see
-:mod:`repro.parallel.pool`), so the merged log is complete under
-``--jobs N``.
+Worker processes run their own session (every record travels back in
+the task's final telemetry delta and the parent absorbs them in task
+order -- see :mod:`repro.parallel.pool`), so the merged log is
+complete under ``--jobs N``.
 """
 
 from __future__ import annotations
@@ -64,6 +64,13 @@ class EventRecord:
     name: str
     span_id: int | None
     fields: tuple[tuple[str, Any], ...]
+
+    def __reduce__(self):
+        # Positional: a pickled field-name dict per record would make
+        # shipped worker records a third larger.
+        return EventRecord, (
+            self.ts_unix, self.level, self.name, self.span_id, self.fields
+        )
 
     def to_json(self) -> dict[str, Any]:
         out: dict[str, Any] = {

@@ -4,14 +4,14 @@ Everything else in :mod:`repro.obs` explains a run *after* it finishes;
 this module explains it *while it happens*.  Three pieces:
 
 * :class:`LiveHub` -- process-global aggregation point.  The parallel
-  pool reports batch/task progress to it, worker heartbeats
-  (:class:`~repro.telemetry.snapshot.TelemetryDelta`) stream into its
-  :class:`~repro.telemetry.snapshot.DeltaAccumulator`, and scrapes
-  combine that in-flight state with the parent's own telemetry
-  registry.  When a task's *final* snapshot is merged into the parent
-  registry the task's delta source is retired, so a scrape never double
-  counts -- and once every source is retired the endpoint's totals
-  equal the end-of-run merged telemetry exactly.
+  pool reports batch/task progress to it, worker heartbeats and each
+  task's final delta (:class:`~repro.telemetry.snapshot.TelemetryDelta`)
+  stream into its :class:`~repro.telemetry.snapshot.DeltaAccumulator`,
+  and scrapes combine that in-flight state with the parent's own
+  telemetry registry.  When a task's final delta is folded into the
+  parent registry the task's delta source is retired, so a scrape never
+  double counts -- and once every source is retired the endpoint's
+  totals equal the end-of-run merged telemetry exactly.
 * :class:`LiveServer` -- a stdlib ``http.server`` thread serving
   ``/metrics`` (Prometheus-style text, see :mod:`repro.obs.metrics`),
   ``/health`` (a JSON progress/health document), and ``/events`` (the
@@ -28,6 +28,7 @@ watch with ``gtpin top`` (see :mod:`repro.obs.top` and docs/live.md).
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -38,7 +39,12 @@ from repro import telemetry
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.telemetry.histograms import Histogram
-from repro.telemetry.snapshot import DeltaAccumulator, TelemetryDelta
+from repro.telemetry.snapshot import (
+    EVENT_TAIL,
+    DeltaAccumulator,
+    TelemetryDelta,
+    gauge_envelope,
+)
 
 #: Port environment control (the CLI flag wins).
 PORT_ENV = "REPRO_LIVE_PORT"
@@ -54,9 +60,6 @@ INSTRUCTION_COUNTERS = (
     "gtpin.instrumented_instructions",
     "simulation.stepped_instructions",
 )
-
-#: Recent-event tail length served by ``/events`` and ``/health``.
-EVENT_TAIL = 50
 
 
 def resolve_port(port: int | None = None) -> int | None:
@@ -76,15 +79,20 @@ def resolve_port(port: int | None = None) -> int | None:
 
 
 def heartbeat_interval() -> float:
+    """The heartbeat period from ``REPRO_LIVE_INTERVAL``, at least 0.05 s;
+    a value that is not a finite number raises ``ValueError``."""
     raw = os.environ.get(INTERVAL_ENV, "").strip()
     if not raw:
         return DEFAULT_INTERVAL_SECONDS
     try:
-        return max(0.05, float(raw))
+        seconds = float(raw)
+        if not math.isfinite(seconds):
+            raise ValueError(raw)
     except ValueError:
         raise ValueError(
-            f"{INTERVAL_ENV} must be a float (seconds), got {raw!r}"
+            f"{INTERVAL_ENV} must be a finite float (seconds), got {raw!r}"
         ) from None
+    return max(0.05, seconds)
 
 
 class _Batch:
@@ -208,9 +216,8 @@ class LiveHub:
             lane.final = lane.final or delta.final
 
     def retire_source(self, source: str) -> None:
-        """The source's final snapshot was merged into the parent
-        registry; drop its in-flight contribution so scrapes never
-        double count."""
+        """The source's final delta was folded into the parent registry;
+        drop its in-flight contribution so scrapes never double count."""
         with self._lock:
             self.accumulator.drop_source(source)
             self._lanes.pop(source, None)
@@ -240,19 +247,11 @@ class LiveHub:
             counters[name] = counters.get(name, 0.0) + value
         for name, snapshot in live_gauges.items():
             held = gauges.get(name)
-            if held is None:
-                gauges[name] = snapshot
-            else:
-                merged = type(snapshot)(
-                    name=name,
-                    last=snapshot.last,
-                    count=held.count + snapshot.count,
-                    total=held.total + snapshot.total,
-                    minimum=min(held.minimum, snapshot.minimum),
-                    maximum=max(held.maximum, snapshot.maximum),
-                    samples=(),
-                )
-                gauges[name] = merged
+            gauges[name] = (
+                snapshot
+                if held is None
+                else gauge_envelope(held, snapshot, snapshot.last)
+            )
         for name, live_hist in live_hists.items():
             held = histograms.get(name)
             if held is None:
@@ -342,7 +341,7 @@ class LiveHub:
         log = obs_events.get()
         local = log.records(min_level=min_level) if log.enabled else []
         with self._lock:
-            shipped = list(self.accumulator.events)
+            shipped = self.accumulator.events()
         merged: dict[tuple, Any] = {}
         for record in local + shipped:
             key = (record.ts_unix, record.level, record.name, record.fields)

@@ -11,14 +11,21 @@ speedup while preserving three guarantees the sweep drivers rely on:
   bit-identical to the serial one.
 * **Isolation** -- a task that raises is captured as a per-task error
   (:class:`TaskOutcome`); the other tasks still complete and return.
-* **Observability** -- when telemetry is enabled, each worker records
-  into its own fresh registry and ships a snapshot back; the parent
-  merges every snapshot (in task order) so the Chrome trace stays
-  complete under parallel runs (see :mod:`repro.telemetry.snapshot`).
+* **Observability** -- when telemetry or the event log is enabled,
+  each worker records into its own fresh registry and event log and
+  returns the task's *final delta* with its result: one
+  :class:`~repro.telemetry.snapshot.TelemetryDelta` carrying every
+  series, span and event record.  The parent folds the final deltas
+  in task order, so the Chrome trace and the event log stay complete
+  under parallel runs.  With the live hub on, workers also send
+  heartbeats (deltas of the same type) on a queue while a task runs,
+  and each final delta reaches the hub as its result arrives (see
+  :mod:`repro.obs.live`).
 
 An argument that is the same object in every task (``explore``'s
 profile and timing trace) reaches each worker once, through the pool
-initializer; each task carries only its own arguments (the config).
+initializer, as does the heartbeat queue; each task carries only its
+own arguments (the config).
 
 Job count comes from the explicit ``jobs`` argument, else the
 ``REPRO_JOBS`` environment variable, else 1 (serial).  ``jobs=0``
@@ -34,24 +41,19 @@ resolve to serial instead of forking grandchild pools.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import dataclasses
 import os
-import queue as queue_module
 import threading
 import time
 import traceback
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro import telemetry
 from repro.obs import events as obs_events
 from repro.obs import live as obs_live
-from repro.obs.events import EventRecord
 from repro.telemetry import context as trace_context
-from repro.telemetry.snapshot import (
-    DeltaTracker,
-    TelemetrySnapshot,
-    capture_snapshot,
-)
+from repro.telemetry.snapshot import DeltaTracker, TelemetryDelta
 
 #: Job-count environment control (``0`` = all cores).
 JOBS_ENV = "REPRO_JOBS"
@@ -123,22 +125,23 @@ class _WorkerResult:
     value: Any
     error: str | None
     traceback: str | None
-    snapshot: TelemetrySnapshot | None
-    events: tuple[EventRecord, ...] = ()
-    #: Heartbeat source name, so the parent can retire the source's
-    #: in-flight live-hub contribution after merging the final snapshot.
-    source: str = ""
+    #: The task's final telemetry delta; ``None`` with capture off.
+    delta: TelemetryDelta | None = None
 
 
-#: Position -> object for the arguments every task of this worker's
-#: pool shares; set once per worker process by the pool initializer.
+#: Set once per worker process by the pool initializer: position ->
+#: object for the arguments every task of the pool shares, and the
+#: queue heartbeats travel on (``None`` with the live hub off).
 _shared_args: dict[int, Any] = {}
+_heartbeat_queue: Any = None
 
 
-def _install_shared(shared: dict[int, Any]) -> None:
-    """Pool initializer: keep the arguments every task shares."""
-    global _shared_args
+def _install_worker(shared: dict[int, Any], channel: list[Any]) -> None:
+    """Pool initializer: keep the arguments every task shares, and the
+    heartbeat queue when ``channel`` holds one."""
+    global _shared_args, _heartbeat_queue
     _shared_args = shared
+    _heartbeat_queue = channel[0] if channel else None
 
 
 def _split_shared(tasks: list[tuple]) -> tuple[dict[int, Any], list[tuple]]:
@@ -178,21 +181,20 @@ def _stop_workers(executor: concurrent.futures.ProcessPoolExecutor) -> None:
 
 
 def _heartbeat_loop(
-    heartbeat_queue: Any,
     tracker: DeltaTracker,
     tm: Any,
     log: Any,
     stop: threading.Event,
     interval: float,
 ) -> None:
-    """Worker-side ticker: ship a delta every ``interval`` seconds while
-    the task runs.  Any channel failure ends heartbeating quietly -- the
-    end-of-task snapshot still delivers everything."""
+    """Worker-side ticker: send a heartbeat every ``interval`` seconds
+    while the task runs.  Any channel failure ends heartbeating quietly
+    -- the final delta still delivers everything."""
     while not stop.wait(interval):
         try:
             delta = tracker.capture(tm, log)
             if delta is not None:
-                heartbeat_queue.put(delta)
+                _heartbeat_queue.put(delta)
         except Exception:
             return
 
@@ -205,7 +207,7 @@ def _run_task(
     trace: tuple[str, int | None] | None = None,
 ) -> _WorkerResult:
     """Worker-side wrapper: run one task under fresh telemetry and
-    event-log sessions; both are shipped back for the parent to merge.
+    event-log sessions and return both as the task's final delta.
 
     ``trace`` is the parent's ``(trace_id, fan-out span id)``: the
     worker activates it as a :class:`~repro.telemetry.context
@@ -213,43 +215,41 @@ def _run_task(
     dispatching request's trace and parents under the fan-out span --
     with globally-unique span ids, the merged edges need no remapping.
 
-    With a ``heartbeat`` spec, a daemon ticker thread additionally
-    streams :class:`~repro.telemetry.snapshot.TelemetryDelta` heartbeats
-    over the side channel while the task runs, ending with a ``final``
-    delta -- the live endpoint's in-flight view (see
-    :mod:`repro.obs.live`).
+    ``heartbeat`` is ``(source, task label, interval)``, naming the
+    task's deltas for the parent's live hub.  With a heartbeat queue
+    installed, a daemon ticker thread also sends heartbeats on it every
+    ``interval`` seconds while the task runs -- the live endpoint's
+    in-flight view (see :mod:`repro.obs.live`).
     """
     os.environ[WORKER_ENV] = "1"
     args = _with_shared(args)
     if not capture:
         try:
-            return _WorkerResult(fn(*args), None, None, None)
+            return _WorkerResult(fn(*args), None, None)
         except Exception as exc:
             return _WorkerResult(
-                None, _format_error(exc), traceback.format_exc(), None
+                None, _format_error(exc), traceback.format_exc()
             )
+    source, task_label, interval = heartbeat or ("", "", 0.0)
     ctx = None
     if trace is not None:
         ctx = trace_context.TraceContext(trace[0], trace[1])
     with telemetry.session() as tm, obs_events.session() as log, \
             trace_context.activate(ctx):
-        tracker = stop = ticker = None
-        source = ""
-        if heartbeat is not None:
+        tracker = DeltaTracker(source, task=task_label)
+        ticker = None
+        if interval and _heartbeat_queue is not None:
+            stop = threading.Event()
+            ticker = threading.Thread(
+                target=_heartbeat_loop,
+                args=(tracker, tm, log, stop, interval),
+                name="repro-heartbeat",
+                daemon=True,
+            )
             try:
-                heartbeat_queue, source, task_label, interval = heartbeat
-                tracker = DeltaTracker(source, task=task_label)
-                stop = threading.Event()
-                ticker = threading.Thread(
-                    target=_heartbeat_loop,
-                    args=(heartbeat_queue, tracker, tm, log, stop, interval),
-                    name="repro-heartbeat",
-                    daemon=True,
-                )
                 ticker.start()
-            except Exception:
-                tracker = stop = ticker = None
-                source = ""
+            except RuntimeError:  # no thread to spare: no heartbeats
+                ticker = None
         start = time.perf_counter()
         error = tb = None
         try:
@@ -261,22 +261,11 @@ def _run_task(
         tm.observe_hist(
             "parallel.task_seconds", time.perf_counter() - start, "s"
         )
-        if tracker is not None:
+        if ticker is not None:
             stop.set()
             ticker.join(timeout=5.0)
-            try:
-                final = tracker.capture(tm, log, final=True)
-                if final is not None:
-                    heartbeat_queue.put(final)
-            except Exception:
-                pass
         return _WorkerResult(
-            value,
-            error,
-            tb,
-            capture_snapshot(tm),
-            tuple(log.records()),
-            source,
+            value, error, tb, tracker.capture(tm, log, final=True)
         )
 
 
@@ -288,7 +277,7 @@ def _serial_map(
     fn: Callable[..., Any], tasks: Sequence[tuple], batch_id: int = -1
 ) -> list[TaskOutcome]:
     """In-process execution; telemetry records directly into the caller's
-    registry, so no snapshot plumbing is needed (and the live endpoint
+    registry, so no delta plumbing is needed (and the live endpoint
     reads the caller's registry directly -- serial runs are inherently
     live)."""
     tm = telemetry.get()
@@ -320,7 +309,6 @@ def parallel_map(
     tasks: Sequence[Sequence[Any]],
     *,
     jobs: int | None = None,
-    capture_telemetry: bool | None = None,
     label: str = "parallel.map",
 ) -> list[TaskOutcome]:
     """Run ``fn(*args)`` for every args-tuple in ``tasks``.
@@ -335,8 +323,6 @@ def parallel_map(
     n_jobs = min(resolve_jobs(jobs), max(1, len(task_tuples)))
     tm = telemetry.get()
     hub = obs_live.get()
-    if capture_telemetry is None:
-        capture_telemetry = tm.enabled or obs_events.is_enabled()
     batch_id = (
         hub.begin_batch(label, len(task_tuples)) if hub.enabled else -1
     )
@@ -347,9 +333,7 @@ def parallel_map(
             if n_jobs == 1:
                 outcomes = _serial_map(fn, task_tuples, batch_id)
             else:
-                outcomes = _pool_map(
-                    fn, task_tuples, n_jobs, bool(capture_telemetry), batch_id
-                )
+                outcomes = _pool_map(fn, task_tuples, n_jobs, batch_id)
         finally:
             if hub.enabled:
                 hub.end_batch(batch_id)
@@ -362,86 +346,80 @@ def parallel_map(
     return outcomes
 
 
-def _drain_heartbeats(
-    heartbeat_queue: Any, hub: Any, stop: threading.Event
-) -> None:
-    """Parent-side drain: apply worker deltas to the live hub as they
-    arrive.  Runs until ``stop`` is set *and* the queue is empty --
-    every final delta is put before the worker's result is returned, so
-    a post-``stop`` drain-to-empty consumes everything."""
-    while True:
-        try:
-            delta = heartbeat_queue.get(timeout=0.25)
-        except queue_module.Empty:
-            if stop.is_set():
-                return
-            continue
-        except Exception:
-            # Manager torn down; nothing more will arrive.
-            return
-        if delta is None:
-            return
-        try:
-            hub.apply_delta(delta)
-        except Exception:
-            pass
+@contextlib.contextmanager
+def _draining(heartbeat_queue: Any, hub: Any) -> Iterator[None]:
+    """A parent thread applies worker heartbeats from ``heartbeat_queue``
+    to the live hub for the block, until the ``None`` sentinel.
 
+    Enter it before the executor's block.  A worker flushes its queued
+    heartbeats before it exits, and leaving the executor's block waits
+    for every worker to exit -- so the sentinel sent here goes in behind
+    the last heartbeat, and the thread keeps reading until then.
+    """
 
-def _start_heartbeat_channel(
-    hub: Any,
-) -> tuple[Any, Any, threading.Event, threading.Thread] | None:
-    """Build the side channel: a Manager queue (proxy objects pickle
-    into ProcessPoolExecutor tasks, plain multiprocessing queues do
-    not) plus the parent drain thread.  ``None`` -- live view degrades
-    to end-of-task merges only -- when no Manager can start."""
-    try:
-        import multiprocessing
+    def drain() -> None:
+        for delta in iter(heartbeat_queue.get, None):
+            try:
+                hub.apply_delta(delta)
+            except Exception:
+                pass  # keep reading: a worker's exit waits on its queue
 
-        manager = multiprocessing.Manager()
-        heartbeat_queue = manager.Queue()
-    except Exception:
-        tm = telemetry.get()
-        if tm.enabled:
-            tm.inc("parallel.heartbeat_fallbacks")
-        return None
-    stop = threading.Event()
     thread = threading.Thread(
-        target=_drain_heartbeats,
-        args=(heartbeat_queue, hub, stop),
+        target=drain,
         name="repro-heartbeat-drain",
         daemon=True,
     )
     thread.start()
-    return manager, heartbeat_queue, stop, thread
+    try:
+        yield
+    finally:
+        heartbeat_queue.put(None)
+        thread.join(timeout=10.0)
+        heartbeat_queue.close()
+        if thread.is_alive():
+            # No sentinel came through: a killed worker may hold the
+            # queue's write lock, which the join would wait on forever.
+            heartbeat_queue.cancel_join_thread()
+        else:
+            heartbeat_queue.join_thread()
 
 
 def _pool_map(
     fn: Callable[..., Any],
     tasks: list[tuple],
     n_jobs: int,
-    capture: bool,
     batch_id: int = -1,
 ) -> list[TaskOutcome]:
     tm = telemetry.get()
     hub = obs_live.get()
+    # Workers capture when the parent keeps telemetry or an event log.
+    capture = tm.enabled or obs_events.is_enabled()
+    live = capture and hub.enabled
+    # Read before any process or queue exists: a bad value raises here,
+    # with nothing to clean up.
+    interval = obs_live.heartbeat_interval() if live else 0.0
     # Shared arguments are inherited under fork and pickled once per
-    # worker under spawn or forkserver.
+    # worker under spawn or forkserver.  The heartbeat queue must come
+    # from the pool's own start-method context, so it joins ``channel``
+    # once the executor exists -- before the first submit starts the
+    # workers that receive it.
     shared, own_args = _split_shared(tasks)
+    channel: list[Any] = []
     try:
         executor = concurrent.futures.ProcessPoolExecutor(
             max_workers=n_jobs,
-            initializer=_install_shared,
-            initargs=(shared,),
+            initializer=_install_worker,
+            initargs=(shared, channel),
         )
     except (OSError, ValueError, ImportError, NotImplementedError):
         # No usable multiprocessing (restricted sandboxes, missing
         # semaphores): the serial path produces identical results.
         tm.inc("parallel.pool_fallbacks")
         return _serial_map(fn, tasks, batch_id)
-    channel = None
-    if capture and hub.enabled:
-        channel = _start_heartbeat_channel(hub)
-    interval = obs_live.heartbeat_interval() if channel else 0.0
+    drain: Any = contextlib.nullcontext()
+    if live:
+        channel.append(executor._mp_context.Queue())
+        drain = _draining(channel[0], hub)
     task_name = getattr(fn, "__name__", "task")
     parent_span_id = tm.current_span_id()
     # Hand the dispatching request's trace (and the fan-out span as the
@@ -453,19 +431,14 @@ def _pool_map(
         else None
     )
     outcomes: list[TaskOutcome | None] = [None] * len(tasks)
-    snapshots: list[TelemetrySnapshot | None] = [None] * len(tasks)
-    worker_events: list[tuple[EventRecord, ...]] = [()] * len(tasks)
-    sources: list[str] = [""] * len(tasks)
-    with executor:
+    deltas: list[TelemetryDelta | None] = [None] * len(tasks)
+    with drain, executor:
         futures = {}
         for index, args in enumerate(own_args):
             heartbeat = None
-            if channel is not None:
+            if live:
                 heartbeat = (
-                    channel[1],
-                    f"b{batch_id}.t{index}",
-                    f"{task_name}[{index}]",
-                    interval,
+                    f"b{batch_id}.t{index}", f"{task_name}[{index}]", interval
                 )
             try:
                 future = executor.submit(
@@ -502,40 +475,23 @@ def _pool_map(
                 error=result.error,
                 traceback=result.traceback,
             )
-            snapshots[index] = result.snapshot
-            worker_events[index] = result.events
-            sources[index] = result.source
+            deltas[index] = result.delta
+            if live:
+                hub.apply_delta(result.delta)
             if hub.enabled:
                 hub.task_done(batch_id, ok=result.error is None)
-    if channel is not None:
-        # Every final delta was enqueued before its task's result came
-        # back, so drain-to-empty here is complete -- and it must finish
-        # BEFORE sources are retired below, or a late delta would
-        # resurrect a retired source and double count.
-        manager, _, stop, thread = channel
-        stop.set()
-        thread.join(timeout=10.0)
-        try:
-            manager.shutdown()
-        except Exception:
-            pass
     if not futures:
         # The first submit could not start the workers.
         tm.inc("parallel.pool_fallbacks")
         return _serial_map(fn, tasks, batch_id)
-    if capture and tm.enabled:
-        # Deterministic merge order: task order, not completion order.
-        # Retiring each source right after its snapshot merges keeps the
-        # live totals monotonic: the worker's contribution moves from
-        # the accumulator into the parent registry, never vanishing.
-        for index, snapshot in enumerate(snapshots):
-            if snapshot is not None:
-                telemetry.merge_snapshot(tm, snapshot, parent_span_id)
-                if sources[index] and hub.enabled:
-                    hub.retire_source(sources[index])
-    if capture:
-        log = obs_events.get()
-        if log.enabled:
-            for records in worker_events:
-                log.absorb(records)
+    # Fold in task order, not completion order: float sums depend on
+    # it.  A source retires only after its fold, so its live totals move
+    # from the hub into the registry without vanishing, and only after
+    # the drain, so no late heartbeat brings it back.
+    log = obs_events.get()
+    for delta in deltas:
+        if delta is not None:
+            telemetry.merge_delta(tm, delta, parent_span_id)
+            log.absorb(delta.events)
+            hub.retire_source(delta.source)
     return [o for o in outcomes if o is not None]

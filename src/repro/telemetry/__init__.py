@@ -63,9 +63,7 @@ from repro.telemetry.snapshot import (
     DeltaTracker,
     GaugeSnapshot,
     TelemetryDelta,
-    TelemetrySnapshot,
-    capture_snapshot,
-    merge_snapshot,
+    merge_delta,
 )
 from repro.telemetry.spans import (
     NULL_SPAN,
@@ -98,12 +96,10 @@ __all__ = [
     "SpanRecord",
     "Telemetry",
     "TelemetryDelta",
-    "TelemetrySnapshot",
     "Timer",
     "TraceContext",
     "bucket_index",
     "bucket_midpoint",
-    "capture_snapshot",
     "format_traceparent",
     "chrome_trace_events",
     "counters_summary",
@@ -112,7 +108,7 @@ __all__ = [
     "get",
     "is_enabled",
     "jsonl_events",
-    "merge_snapshot",
+    "merge_delta",
     "new_trace_id",
     "parse_traceparent",
     "session",

@@ -1,17 +1,25 @@
-"""Cross-process telemetry capture and merge.
+"""Cross-process telemetry: one delta type from worker to parent.
 
 The parallel execution engine (:mod:`repro.parallel`) fans sweep stages
 out to worker processes.  Each worker runs under its own fresh registry
-(:func:`repro.telemetry.session`); when the task finishes, the worker
-reduces that registry to a picklable :class:`TelemetrySnapshot` and
-ships it back with the result.  The parent then folds every snapshot
-into its own live registry -- spans keep their parent/child structure
-*and their ids* (span ids are namespaced by a per-process random high
-word, so cross-process collisions cannot happen and no remapping is
-needed), worker threads get synthetic negative thread ids so they
-render as separate tracks, and counter/gauge totals accumulate -- so
-``gtpin trace`` produces one complete Chrome trace whether the sweep
-ran serially or across N processes.
+(:func:`repro.telemetry.session`) and reports through one picklable
+type, :class:`TelemetryDelta`, captured by a :class:`DeltaTracker`:
+
+* *heartbeats*, sent while the task runs, carry the series that changed
+  since the previous capture -- the live endpoint's in-flight view
+  (:mod:`repro.obs.live`);
+* the *final delta*, returned with the task's result, carries every
+  series, gauge sample trails, the task's spans and event records, and
+  the registry's clock origin.
+
+The parent folds each final delta into its own registry with
+:func:`merge_delta` -- spans keep their parent/child structure *and
+their ids* (span ids are namespaced by a per-process random high word,
+so cross-process collisions cannot happen and no remapping is needed),
+worker threads get synthetic negative thread ids so they render as
+separate tracks, and counter/gauge totals accumulate -- so ``gtpin
+trace`` produces one complete Chrome trace whether the sweep ran
+serially or across N processes.
 
 Timestamps are aligned via each registry's wall-clock creation time:
 ``perf_counter_ns`` origins are process-local, so a worker span's offset
@@ -21,9 +29,9 @@ registries before being re-based on the parent's origin.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import os
-import time
 
 from repro.telemetry.counters import Sample
 from repro.telemetry.histograms import HistogramSnapshot
@@ -33,7 +41,7 @@ from repro.telemetry.spans import SpanRecord
 
 @dataclasses.dataclass(frozen=True)
 class CounterSnapshot:
-    """Final value of one worker-side counter.
+    """Cumulative value of one worker-side counter.
 
     ``ops`` is the number of ``inc`` calls behind the value; the
     self-overhead attribution layer costs observability by operation
@@ -58,58 +66,12 @@ class GaugeSnapshot:
     samples: tuple[Sample, ...]
 
 
-@dataclasses.dataclass(frozen=True)
-class TelemetrySnapshot:
-    """A registry reduced to picklable parts, ready to merge elsewhere."""
-
-    pid: int
-    time_origin_ns: int
-    created_unix_seconds: float
-    spans: tuple[SpanRecord, ...]
-    counters: tuple[CounterSnapshot, ...]
-    gauges: tuple[GaugeSnapshot, ...]
-    histograms: tuple[HistogramSnapshot, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.spans)
-
-
-def capture_snapshot(telemetry: Telemetry) -> TelemetrySnapshot:
-    """Reduce a live registry to a :class:`TelemetrySnapshot`."""
-    counters = telemetry.counters
-    return TelemetrySnapshot(
-        pid=os.getpid(),
-        time_origin_ns=telemetry.time_origin_ns,
-        created_unix_seconds=telemetry.created_unix_seconds,
-        spans=tuple(telemetry.spans()),
-        counters=tuple(
-            CounterSnapshot(name=c.name, value=c.value, ops=c.ops)
-            for c in counters.counters.values()
-        ),
-        gauges=tuple(
-            GaugeSnapshot(
-                name=g.name,
-                last=g.last,
-                count=g.count,
-                total=g.total,
-                minimum=g.minimum,
-                maximum=g.maximum,
-                samples=tuple(g.samples),
-            )
-            for g in counters.gauges.values()
-        ),
-        histograms=tuple(
-            h.snapshot() for h in counters.histograms.values()
-        ),
-    )
-
-
-def merge_snapshot(
+def merge_delta(
     target: Telemetry,
-    snapshot: TelemetrySnapshot,
+    delta: TelemetryDelta,
     parent_span_id: int | None = None,
 ) -> None:
-    """Fold a worker snapshot into ``target``.
+    """Fold a worker's final delta into ``target``.
 
     Span ids are globally unique (each collector namespaces them with a
     per-process random high word), so worker spans keep their ids *and*
@@ -122,12 +84,12 @@ def merge_snapshot(
     """
     if not getattr(target, "enabled", False):
         return
-    delta_ns = int(
+    shift_ns = int(
         round(
-            (snapshot.created_unix_seconds - target.created_unix_seconds)
+            (delta.created_unix_seconds - target.created_unix_seconds)
             * 1e9
         )
-    ) + (target.time_origin_ns - snapshot.time_origin_ns)
+    ) + (target.time_origin_ns - delta.time_origin_ns)
 
     # Synthetic negative thread ids: real thread idents are positive, so
     # worker tracks can never collide with (or interleave into) parent
@@ -137,12 +99,12 @@ def merge_snapshot(
     def remap_thread(thread_id: int) -> int:
         if thread_id not in thread_map:
             thread_map[thread_id] = -(
-                snapshot.pid * 1000 + len(thread_map) + 1
+                delta.pid * 1000 + len(thread_map) + 1
             )
         return thread_map[thread_id]
 
     collector = target._collector
-    for span in snapshot.spans:
+    for span in delta.spans:
         collector.record(
             SpanRecord(
                 span_id=span.span_id,
@@ -153,8 +115,8 @@ def merge_snapshot(
                 ),
                 name=span.name,
                 category=span.category,
-                start_ns=span.start_ns + delta_ns,
-                end_ns=span.end_ns + delta_ns,
+                start_ns=span.start_ns + shift_ns,
+                end_ns=span.end_ns + shift_ns,
                 thread_id=remap_thread(span.thread_id),
                 depth=span.depth,
                 args=dict(span.args),
@@ -162,13 +124,13 @@ def merge_snapshot(
             )
         )
 
-    for counter in snapshot.counters:
+    for counter in delta.counters:
         merged_counter = target.counters.counter(counter.name)
         merged_counter.inc(counter.value)
         # inc() tallied one op for the merge itself; replace that with
         # the worker's true operation count.
         merged_counter.ops += counter.ops - 1
-    for gauge in snapshot.gauges:
+    for gauge in delta.gauges:
         merged = target.counters.gauge(gauge.name)
         if gauge.count == 0:
             continue
@@ -178,53 +140,56 @@ def merge_snapshot(
         merged.minimum = min(merged.minimum, gauge.minimum)
         merged.maximum = max(merged.maximum, gauge.maximum)
         merged.samples.extend(
-            Sample(s.ts_ns + delta_ns, s.value) for s in gauge.samples
+            Sample(s.ts_ns + shift_ns, s.value) for s in gauge.samples
         )
-    for hist in snapshot.histograms:
+    for hist in delta.histograms:
         target.counters.histogram(hist.name, hist.unit).merge(hist)
 
 
 # -- streaming deltas ---------------------------------------------------------
 #
-# The live-observability layer needs *in-flight* telemetry: workers ship
-# periodic heartbeats while a task runs, not just one snapshot at task
-# end.  A heartbeat is a :class:`TelemetryDelta` -- the cumulative state
-# of every series that changed since the previous capture, stamped with
-# a per-source sequence number.  Shipping cumulative state (rather than
-# arithmetic increments) is what makes the merge *conservation-exact*
+# A delta ships the *cumulative* state of its series (rather than
+# arithmetic increments), stamped with a per-source sequence number.
+# Shipping cumulative state is what makes the merge *conservation-exact*
 # under float sums and *idempotent* under retransmission: the receiver
 # keeps, per (source, series), the state with the highest sequence
 # number, so applying a delta twice -- or applying an older delta after
 # a newer one -- changes nothing, and the final aggregate equals the
 # worker's true final registry values bit-for-bit.
 
+#: Event-tail length: the WARN/ERROR records a heartbeat carries and
+#: the live hub keeps per unretired source, and the tail its
+#: ``/events`` and ``/health`` views serve.
+EVENT_TAIL = 50
+
 
 @dataclasses.dataclass(frozen=True)
 class TelemetryDelta:
-    """One heartbeat: cumulative state of the series that changed.
+    """One capture of a worker registry: a heartbeat or the final delta.
 
-    ``events`` is a display-oriented tail of recently emitted event
-    records (exactly-once delivery of events still happens through the
-    end-of-task :class:`~repro.obs.events.EventRecord` shipment); the
-    counter/gauge/histogram payloads are the conservation-carrying part.
+    A heartbeat carries the series that changed since the previous
+    capture and, in ``events``, the newest WARN/ERROR records not yet
+    sent.  The final delta (``final=True``) carries every series with
+    its gauge sample trail, every span and event record of the task,
+    and the clock origin :func:`merge_delta` aligns timestamps with.
     """
 
     source: str
     seq: int
-    captured_unix: float
     counters: tuple[CounterSnapshot, ...] = ()
     gauges: tuple[GaugeSnapshot, ...] = ()
     histograms: tuple[HistogramSnapshot, ...] = ()
     events: tuple = ()
     task: str = ""
     final: bool = False
-
-    def __len__(self) -> int:
-        return len(self.counters) + len(self.gauges) + len(self.histograms)
+    spans: tuple[SpanRecord, ...] = ()
+    pid: int = 0
+    time_origin_ns: int = 0
+    created_unix_seconds: float = 0.0
 
 
 class DeltaTracker:
-    """Worker-side capture state: successive :meth:`capture` calls ship
+    """Worker-side capture state: successive heartbeat captures ship
     only the series that changed since the previous call."""
 
     def __init__(self, source: str, task: str = "") -> None:
@@ -237,27 +202,23 @@ class DeltaTracker:
         self._event_watermark = 0.0
 
     def capture(
-        self,
-        telemetry: Telemetry,
-        log=None,
-        final: bool = False,
-        event_tail: int = 50,
-        min_event_level: str = "WARN",
+        self, telemetry: Telemetry, log=None, final: bool = False
     ) -> TelemetryDelta | None:
-        """One heartbeat from a live registry; ``None`` when nothing
-        changed (and the heartbeat is not the final one)."""
+        """One delta from a live registry (and event log): a heartbeat,
+        ``None`` when nothing changed, or with ``final`` the final
+        delta."""
         counters = telemetry.counters
         changed_counters = []
         for name, counter in list(counters.counters.items()):
             mark = (counter.value, counter.ops)
-            if self._counter_marks.get(name) != mark:
+            if final or self._counter_marks.get(name) != mark:
                 self._counter_marks[name] = mark
                 changed_counters.append(
                     CounterSnapshot(name=name, value=mark[0], ops=mark[1])
                 )
         changed_gauges = []
         for name, gauge in list(counters.gauges.items()):
-            if self._gauge_marks.get(name) != gauge.count:
+            if final or self._gauge_marks.get(name) != gauge.count:
                 self._gauge_marks[name] = gauge.count
                 changed_gauges.append(
                     GaugeSnapshot(
@@ -267,45 +228,65 @@ class DeltaTracker:
                         total=gauge.total,
                         minimum=gauge.minimum,
                         maximum=gauge.maximum,
-                        samples=(),
+                        samples=tuple(gauge.samples) if final else (),
                     )
                 )
         changed_hists = []
         for name, hist in list(counters.histograms.items()):
-            if self._hist_marks.get(name) != hist.count:
+            if final or self._hist_marks.get(name) != hist.count:
                 self._hist_marks[name] = hist.count
                 changed_hists.append(hist.snapshot())
-        fresh_events: tuple = ()
+        events: tuple = ()
         if log is not None and getattr(log, "enabled", False):
-            recent = [
-                r
-                for r in log.records(min_level=min_event_level)
-                if r.ts_unix > self._event_watermark
-            ][-event_tail:]
-            if recent:
-                self._event_watermark = max(r.ts_unix for r in recent)
-                fresh_events = tuple(recent)
+            if final:
+                events = tuple(log.records())
+            else:
+                recent = [
+                    r
+                    for r in log.records(min_level="WARN")
+                    if r.ts_unix > self._event_watermark
+                ][-EVENT_TAIL:]
+                if recent:
+                    self._event_watermark = max(r.ts_unix for r in recent)
+                    events = tuple(recent)
         if (
             not changed_counters
             and not changed_gauges
             and not changed_hists
-            and not fresh_events
+            and not events
             and not final
         ):
             return None
         delta = TelemetryDelta(
             source=self.source,
             seq=self.seq,
-            captured_unix=time.time(),
             counters=tuple(changed_counters),
             gauges=tuple(changed_gauges),
             histograms=tuple(changed_hists),
-            events=fresh_events,
+            events=events,
             task=self.task,
             final=final,
+            spans=tuple(telemetry.spans()) if final else (),
+            pid=os.getpid(),
+            time_origin_ns=telemetry.time_origin_ns,
+            created_unix_seconds=telemetry.created_unix_seconds,
         )
         self.seq += 1
         return delta
+
+
+def gauge_envelope(held, gauge, last: float) -> GaugeSnapshot:
+    """Two gauge summaries (live gauges or snapshots) as one: count and
+    total summed, min/max enveloped, ``last`` as given; no samples."""
+    return GaugeSnapshot(
+        name=gauge.name,
+        last=last,
+        count=held.count + gauge.count,
+        total=held.total + gauge.total,
+        minimum=min(held.minimum, gauge.minimum),
+        maximum=max(held.maximum, gauge.maximum),
+        samples=(),
+    )
 
 
 class DeltaAccumulator:
@@ -316,7 +297,8 @@ class DeltaAccumulator:
     duplicated or reordered heartbeats cannot inflate or corrupt the
     aggregate.  Totals across sources are exact sums of each source's
     latest state -- after every source's final delta has arrived they
-    equal the end-of-run merged telemetry exactly.
+    equal the end-of-run merged telemetry exactly.  Per source it also
+    keeps the newest :data:`EVENT_TAIL` WARN/ERROR records for display.
     """
 
     def __init__(self) -> None:
@@ -324,58 +306,60 @@ class DeltaAccumulator:
         self._gauges: dict[tuple[str, str], tuple[int, GaugeSnapshot]] = {}
         self._hists: dict[tuple[str, str], tuple[int, HistogramSnapshot]] = {}
         self._event_seqs: dict[str, set[int]] = {}
-        self.events: list = []
-        self.applied = 0
+        self._events: dict[str, collections.deque] = {}
         self.duplicates = 0
 
     def apply(self, delta: TelemetryDelta) -> bool:
-        """Fold one heartbeat in; ``False`` when every series in it was
+        """Fold one delta in; ``False`` when every series in it was
         already known at an equal-or-newer sequence number."""
         fresh = False
-        for counter in delta.counters:
-            key = (delta.source, counter.name)
-            held = self._counters.get(key)
-            if held is None or held[0] < delta.seq:
-                self._counters[key] = (delta.seq, counter)
-                fresh = True
-        for gauge in delta.gauges:
-            key = (delta.source, gauge.name)
-            held = self._gauges.get(key)
-            if held is None or held[0] < delta.seq:
-                self._gauges[key] = (delta.seq, gauge)
-                fresh = True
-        for hist in delta.histograms:
-            key = (delta.source, hist.name)
-            held = self._hists.get(key)
-            if held is None or held[0] < delta.seq:
-                self._hists[key] = (delta.seq, hist)
-                fresh = True
+        for table, series in (
+            (self._counters, delta.counters),
+            (self._gauges, delta.gauges),
+            (self._hists, delta.histograms),
+        ):
+            for item in series:
+                key = (delta.source, item.name)
+                held = table.get(key)
+                if held is None or held[0] < delta.seq:
+                    table[key] = (delta.seq, item)
+                    fresh = True
         if delta.events:
             seen = self._event_seqs.setdefault(delta.source, set())
             if delta.seq not in seen:
                 seen.add(delta.seq)
-                self.events.extend(delta.events)
+                tail = self._events.setdefault(
+                    delta.source, collections.deque(maxlen=EVENT_TAIL)
+                )
+                if delta.final:
+                    tail.clear()  # the final delta carries every record
+                tail.extend(
+                    r for r in delta.events if r.level in ("WARN", "ERROR")
+                )
                 fresh = True
-        if fresh:
-            self.applied += 1
-        else:
+        if not fresh:
             self.duplicates += 1
         return fresh
 
     def drop_source(self, source: str) -> None:
-        """Forget one source's contribution (after its final snapshot
-        has been merged into a real registry, keeping it would double
+        """Forget one source's contribution (after its final delta has
+        been folded into a real registry, keeping it would double
         count)."""
         for table in (self._counters, self._gauges, self._hists):
             for key in [k for k in table if k[0] == source]:
                 del table[key]
         self._event_seqs.pop(source, None)
+        self._events.pop(source, None)
 
     def sources(self) -> set[str]:
         out = {key[0] for key in self._counters}
         out |= {key[0] for key in self._gauges}
         out |= {key[0] for key in self._hists}
         return out
+
+    def events(self) -> list:
+        """The kept WARN/ERROR records of every unretired source."""
+        return [record for tail in self._events.values() for record in tail]
 
     def counter_totals(self) -> dict[str, float]:
         """Per-counter sums of every source's latest cumulative value."""
@@ -397,15 +381,7 @@ class DeltaAccumulator:
                 continue
             last = gauge.last if seq >= newest[name] else held.last
             newest[name] = max(newest[name], seq)
-            merged[name] = GaugeSnapshot(
-                name=name,
-                last=last,
-                count=held.count + gauge.count,
-                total=held.total + gauge.total,
-                minimum=min(held.minimum, gauge.minimum),
-                maximum=max(held.maximum, gauge.maximum),
-                samples=(),
-            )
+            merged[name] = gauge_envelope(held, gauge, last)
         return merged
 
     def histogram_totals(self) -> dict[str, Histogram]:

@@ -9,7 +9,7 @@ import pytest
 
 from repro import telemetry
 from repro.telemetry import GROWTH, Histogram, bucket_index, bucket_midpoint
-from repro.telemetry.snapshot import capture_snapshot, merge_snapshot
+from repro.telemetry.snapshot import DeltaTracker, merge_delta
 
 
 @pytest.fixture
@@ -149,12 +149,12 @@ def test_merge_is_order_independent():
 def test_snapshot_roundtrip_through_registry_merge(tm):
     tm.observe_hist("demo.latency_seconds", 0.004, "s")
     tm.observe_hist("demo.latency_seconds", 0.016, "s")
-    snap = capture_snapshot(tm)
+    snap = DeltaTracker("w").capture(tm, final=True)
     assert [h.name for h in snap.histograms] == ["demo.latency_seconds"]
 
     target = telemetry.Telemetry()
-    merge_snapshot(target, snap)
-    merge_snapshot(target, snap)
+    merge_delta(target, snap)
+    merge_delta(target, snap)
     merged = target.histogram("demo.latency_seconds")
     assert merged.count == 4
     assert merged.total == pytest.approx(2 * (0.004 + 0.016))
@@ -214,7 +214,7 @@ def test_exemplars_survive_snapshot_merge(tm):
         worker.observe_hist("op.seconds", 8.0, "s")
     with tm.span("parent.step"):
         tm.observe_hist("op.seconds", 2.0, "s")
-    merge_snapshot(tm, capture_snapshot(worker))
+    merge_delta(tm, DeltaTracker("w").capture(worker, final=True))
     values = [e.value for e in tm.histogram("op.seconds").tail_exemplars()]
     assert 8.0 in values and 2.0 in values
 

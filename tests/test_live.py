@@ -8,10 +8,15 @@ The endpoint tests then assert the acceptance criterion end to end: the
 scraped totals equal the end-of-run merged telemetry exactly.
 """
 
+import concurrent.futures
 import io
 import json
+import multiprocessing
 import os
 import queue
+import sys
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -27,6 +32,7 @@ from repro.obs import events as obs_events
 from repro.obs import live
 from repro.obs.metrics import metric_name, parse_exposition
 from repro.obs.top import render_top, run_top
+from repro.parallel import pool
 from repro.parallel.pool import WORKER_ENV, _run_task, parallel_map
 from repro.sampling.pipeline import profile_workload
 from repro.simulation.detailed import DetailedGPUSimulator
@@ -215,32 +221,142 @@ def _noisy_task(n):
         tm.inc("live.work")
         tm.observe_hist("live.sizes", i + 1.0, "B")
     obs_events.get().warn("live.trouble", n=n)
+    time.sleep(0.1)  # long enough for the ticker to send a heartbeat
     return n
 
 
-def test_run_task_ships_final_delta_over_the_side_channel():
+def test_run_task_ships_final_delta_over_the_side_channel(monkeypatch):
     channel = queue.Queue()
-    heartbeat = (channel, "src0", "noisy[0]", 0.02)
+    monkeypatch.setattr(pool, "_heartbeat_queue", channel)
+    heartbeat = ("src0", "noisy[0]", 0.02)
     try:
         result = _run_task(_noisy_task, (25,), True, heartbeat)
     finally:
         os.environ.pop(WORKER_ENV, None)
     assert result.value == 25
-    assert result.source == "src0"
+    final = result.delta
+    assert final.source == "src0" and final.final
     deltas = []
     while not channel.empty():
         deltas.append(channel.get_nowait())
-    assert deltas and deltas[-1].final
+    # Heartbeats travel on the queue; the final delta comes back with
+    # the result.
+    assert deltas and not any(delta.final for delta in deltas)
     acc = DeltaAccumulator()
-    for delta in deltas:
+    for delta in deltas + [final]:
         acc.apply(delta)
     assert acc.counter_totals()["live.work"] == 25.0
     hist = acc.histogram_totals()["live.sizes"]
     assert (hist.count, hist.minimum, hist.maximum) == (25, 1.0, 25.0)
-    # The end-of-task snapshot carries the same finals (the delta path
-    # is a preview, never a replacement).
-    snap = {c.name: c.value for c in result.snapshot.counters}
-    assert snap["live.work"] == 25.0
+    # The final delta carries the worker registry's full state: every
+    # series (also those a heartbeat already sent), the task's spans and
+    # event records, and the registry's clock origin.
+    assert "live.work" in {c.name for c in deltas[0].counters}
+    counters = {c.name: (c.value, c.ops) for c in final.counters}
+    assert counters["live.work"] == (25.0, 25)
+    hists = {h.name: h.count for h in final.histograms}
+    assert hists == {"live.sizes": 25, "parallel.task_seconds": 1}
+    assert [e.name for e in final.events] == ["live.trouble"]
+    assert final.pid == os.getpid()
+    assert final.time_origin_ns > 0 and final.created_unix_seconds > 0
+
+
+def _ticking_task(steps):
+    tm = telemetry.get()
+    for _ in range(steps):
+        tm.inc("live.ticks")
+        time.sleep(0.05)
+    return steps
+
+
+def test_heartbeats_reach_the_hub_mid_task_without_a_manager(monkeypatch):
+    """Heartbeats travel on a plain queue the pool initializer hands each
+    worker: with no ``multiprocessing.Manager`` available, every source
+    still delivers a heartbeat before its final delta, and retires only
+    after the drain has stopped (a late heartbeat would revive it)."""
+
+    def no_manager(*args, **kwargs):
+        raise OSError("no Manager here")
+
+    monkeypatch.setattr(multiprocessing, "Manager", no_manager)
+    monkeypatch.setenv(live.INTERVAL_ENV, "0.05")
+    calls, retired = [], []
+    with telemetry.session() as tm:
+        hub = live.enable()
+        apply_delta, retire_source = hub.apply_delta, hub.retire_source
+
+        def recording(delta):
+            calls.append((delta.source, delta.final))
+            apply_delta(delta)
+
+        def retiring(source):
+            threads = {thread.name for thread in threading.enumerate()}
+            retired.append((source, "repro-heartbeat-drain" in threads))
+            retire_source(source)
+
+        monkeypatch.setattr(hub, "apply_delta", recording)
+        monkeypatch.setattr(hub, "retire_source", retiring)
+        try:
+            outcomes = parallel_map(_ticking_task, [(6,), (6,)], jobs=2)
+            parsed = parse_exposition(hub.metrics_text())
+        finally:
+            live.disable()
+    assert [o.value for o in outcomes] == [6, 6]
+    sources = {source for source, _ in calls}
+    assert len(sources) == 2
+    for source in sources:
+        order = [final for s, final in calls if s == source]
+        assert order.count(True) == 1
+        assert False in order[: order.index(True)], order
+    assert sorted(retired) == sorted((source, False) for source in sources)
+    assert tm.counter_value("live.ticks") == 12.0
+    for name, counter in tm.counters.counters.items():
+        assert parsed[metric_name(name) + "_total"] == counter.value, name
+
+
+def _bursty_task(i):
+    tm = telemetry.get()
+    for k in range(i % 4 + 1):
+        tm.inc("stress.units", 0.1 * (k + 1))
+        tm.observe_hist("stress.sizes", 1.0 + i, "B")
+        obs_events.get().warn("stress.warn", i=i)
+        time.sleep(0.02)
+    return i
+
+
+def test_heartbeat_stress_with_more_workers_than_cores(monkeypatch):
+    """Heartbeats from more workers than cores race the final deltas
+    into the hub: once the fan-out returns no source, lane or shipped
+    event is left, and the scrape equals the merged registry exactly."""
+    monkeypatch.setenv(live.INTERVAL_ENV, "0.05")
+    jobs = min((os.cpu_count() or 1) + 1, 8)
+    tasks = [(i,) for i in range(24)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with telemetry.session() as tm, obs_events.session() as log:
+            hub = live.enable()
+            try:
+                outcomes = parallel_map(_bursty_task, tasks, jobs=jobs)
+                parsed = parse_exposition(hub.metrics_text())
+                left = (
+                    hub.accumulator.sources(),
+                    hub.accumulator.events(),
+                    hub.health_doc()["workers"],
+                )
+            finally:
+                live.disable()
+    finally:
+        sys.setswitchinterval(switch)
+    assert [o.value for o in outcomes] == list(range(24))
+    assert left == (set(), [], [])
+    observations = sum(i % 4 + 1 for i in range(24))
+    assert tm.counters.histograms["stress.sizes"].count == observations
+    assert len(log.records(min_level="WARN")) == observations
+    for name, counter in tm.counters.counters.items():
+        assert parsed[metric_name(name) + "_total"] == counter.value, name
+    for name, hist in tm.counters.histograms.items():
+        assert parsed[metric_name(name) + "_count"] == hist.count, name
 
 
 # -- hub behavior ------------------------------------------------------------
@@ -311,6 +427,30 @@ def test_retire_source_drops_lane_and_is_idempotent(hub):
     hub.retire_source("w1")
     hub.retire_source("never-registered")
     assert hub.health_doc()["workers"] == []
+
+
+def test_retired_sources_leave_no_shipped_events_behind(hub):
+    """The hub keeps at most EVENT_TAIL WARN/ERROR records per unretired
+    source -- not a final delta's full event list -- and none once the
+    source retires (the parent's event log holds them then)."""
+    for worker in range(4):
+        tracker = DeltaTracker(f"w{worker}")
+        worker_tm = Telemetry()
+        worker_log = obs_events.EventLog()
+        for i in range(3 * live.EVENT_TAIL):
+            worker_log.debug("tail.chatter", i=i)
+            worker_log.warn("tail.trouble", i=i)
+            if i % 40 == 0:
+                hub.apply_delta(tracker.capture(worker_tm, worker_log))
+        hub.apply_delta(tracker.capture(worker_tm, worker_log, final=True))
+    shipped = hub.accumulator.events()
+    assert len(shipped) == 4 * live.EVENT_TAIL
+    assert {record.name for record in shipped} == {"tail.trouble"}
+    assert len(hub._recent_events(min_level="DEBUG")) == live.EVENT_TAIL
+    for worker in range(4):
+        hub.retire_source(f"w{worker}")
+    assert hub.accumulator.events() == []
+    assert hub._recent_events(min_level="DEBUG") == []
 
 
 def test_recent_events_filter_by_level(hub):
@@ -399,6 +539,35 @@ def test_resolve_port_env(monkeypatch):
     monkeypatch.setenv(live.PORT_ENV, "nope")
     with pytest.raises(ValueError):
         live.resolve_port(None)
+
+
+@pytest.mark.parametrize(
+    "raw, seconds",
+    [("", 0.5), ("0.2", 0.2), ("-3", 0.05), ("0", 0.05), ("inf", None),
+     ("-inf", None), ("1e400", None), ("nan", None), ("abc", None)],
+)
+def test_heartbeat_interval_must_be_finite(monkeypatch, raw, seconds):
+    monkeypatch.setenv(live.INTERVAL_ENV, raw)
+    if seconds is not None:
+        assert live.heartbeat_interval() == seconds
+        return
+    with pytest.raises(ValueError, match=live.INTERVAL_ENV):
+        live.heartbeat_interval()
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("the pool must not start")
+
+
+def test_bad_interval_raises_before_the_pool_starts(monkeypatch, hub):
+    monkeypatch.setenv(live.INTERVAL_ENV, "inf")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    with telemetry.session():
+        with pytest.raises(ValueError, match=live.INTERVAL_ENV):
+            parallel_map(abs, [(-1,), (-2,)], jobs=2)
+    assert "repro-heartbeat-drain" not in {
+        thread.name for thread in threading.enumerate()
+    }
 
 
 # -- gtpin top ---------------------------------------------------------------

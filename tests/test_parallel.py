@@ -30,7 +30,7 @@ from repro.sampling.explorer import (
 )
 from repro.sampling.pipeline import explore_application, profile_workload
 from repro.sampling.simpoint import SimPointOptions
-from repro.telemetry.snapshot import capture_snapshot, merge_snapshot
+from repro.telemetry.snapshot import DeltaTracker, merge_delta
 
 FAST_OPTIONS = SimPointOptions(max_k=4, restarts=1, max_iterations=30)
 
@@ -430,19 +430,19 @@ def test_explore_parallel_telemetry_is_complete(small_workload):
 
 
 def test_merge_snapshot_roundtrip_without_pool():
-    """merge_snapshot alone: ids remapped, times shifted, totals added."""
+    """merge_delta alone: ids remapped, times shifted, totals added."""
     with telemetry.session() as worker_tm:
         with worker_tm.span("outer", category="test"):
             with worker_tm.span("inner", category="test"):
                 worker_tm.inc("some.counter", 2)
                 worker_tm.observe("some.gauge", 5.0)
-        snapshot = capture_snapshot(worker_tm)
-    assert len(snapshot) == 2
+        snapshot = DeltaTracker("w").capture(worker_tm, final=True)
+    assert len(snapshot.spans) == 2
 
     with telemetry.session() as tm:
         with tm.span("parent", category="test"):
             parent_id = tm.current_span_id()
-            merge_snapshot(tm, snapshot, parent_id)
+            merge_delta(tm, snapshot, parent_id)
         spans = {s.name: s for s in tm.spans()}
         assert spans["inner"].parent_id == spans["outer"].span_id
         assert spans["outer"].parent_id == parent_id
@@ -455,6 +455,6 @@ def test_merge_snapshot_into_disabled_registry_is_noop():
     with telemetry.session() as worker_tm:
         with worker_tm.span("outer", category="test"):
             pass
-        snapshot = capture_snapshot(worker_tm)
-    merge_snapshot(telemetry.get(), snapshot)  # disabled -> no-op, no raise
+        snapshot = DeltaTracker("w").capture(worker_tm, final=True)
+    merge_delta(telemetry.get(), snapshot)  # disabled -> no-op, no raise
     assert telemetry.get().spans() == []
