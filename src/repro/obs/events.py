@@ -25,6 +25,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import dataclasses
+import itertools
 import json
 import os
 import threading
@@ -114,7 +115,10 @@ class EventLog:
     WARN/ERROR record pushed out of the main ring parks in a small
     bounded reserve (:data:`INCIDENT_RESERVE`) instead of vanishing, so
     chatty DEBUG loops cannot flush the incidents that reports and the
-    live endpoint exist to surface.
+    live endpoint exist to surface.  The log also keeps per-level counts
+    of what it retains, and :meth:`tail` reads the newest records at a
+    level without scanning the ring, so a live-endpoint scrape costs
+    the same on a full ring as on an empty one.
     """
 
     enabled = True
@@ -123,15 +127,24 @@ class EventLog:
         self._lock = threading.Lock()
         self.capacity = _resolve_capacity(capacity)
         self._records: collections.deque[EventRecord] = collections.deque()
+        # The ring's records at or above INFO, WARN and ERROR, each in
+        # ring order, so the newest records at a level are a slice of
+        # one deque rather than a scan of the ring.
+        self._floors: list[collections.deque[EventRecord]] = [
+            collections.deque() for _ in LEVELS[1:]
+        ]
         self._reserve_capacity = min(INCIDENT_RESERVE, self.capacity)
         self._reserve: collections.deque[EventRecord] = collections.deque()
+        # Retained records (ring and reserve) per level.
+        self._counts = dict.fromkeys(LEVELS, 0)
         #: Records truly lost (evicted past the reserve); exact forever.
         self.dropped = 0
         # Absorbed worker records may carry timestamps older than
         # already-recorded parent events; sort lazily on read.
         self._needs_sort = False
 
-    def _drop_one(self) -> None:
+    def _drop(self, record: EventRecord) -> None:
+        self._counts[record.level] -= 1
         self.dropped += 1
         tm = telemetry.get()
         if tm.enabled:
@@ -141,14 +154,36 @@ class EventLog:
         """Append under the lock, evicting when the ring is full."""
         if len(self._records) >= self.capacity:
             evicted = self._records.popleft()
-            if _LEVEL_RANK[evicted.level] >= _WARN_RANK:
+            rank = _LEVEL_RANK[evicted.level]
+            for floor in self._floors[:rank]:
+                floor.popleft()
+            if rank >= _WARN_RANK:
                 if len(self._reserve) >= self._reserve_capacity:
-                    self._reserve.popleft()
-                    self._drop_one()
+                    self._drop(self._reserve.popleft())
                 self._reserve.append(evicted)
             else:
-                self._drop_one()
+                self._drop(evicted)
         self._records.append(record)
+        for floor in self._floors[: _LEVEL_RANK[record.level]]:
+            floor.append(record)
+        self._counts[record.level] += 1
+
+    def _sort(self) -> None:
+        """Re-sort the ring by timestamp after an :meth:`absorb` (under
+        the lock; stable, so same-timestamp records keep their
+        per-source emission order)."""
+        if not self._needs_sort:
+            return
+        self._records = collections.deque(
+            sorted(self._records, key=lambda r: r.ts_unix)
+        )
+        self._floors = [
+            collections.deque(
+                r for r in self._records if _LEVEL_RANK[r.level] > rank
+            )
+            for rank in range(len(self._floors))
+        ]
+        self._needs_sort = False
 
     def emit(self, level: str, name: str, **fields: Any) -> None:
         """Record one event at ``level`` (one of :data:`LEVELS`)."""
@@ -191,11 +226,7 @@ class EventLog:
         """
         floor = _LEVEL_RANK[min_level]
         with self._lock:
-            if self._needs_sort:
-                self._records = collections.deque(
-                    sorted(self._records, key=lambda r: r.ts_unix)
-                )
-                self._needs_sort = False
+            self._sort()
             if self._reserve:
                 # Reserved incidents predate everything still in the
                 # main ring (they were evicted first); listing them
@@ -222,6 +253,33 @@ class EventLog:
                 absorbed = True
             if absorbed:
                 self._needs_sort = True
+
+    def tail(self, limit: int, min_level: str = "DEBUG") -> list[EventRecord]:
+        """The newest ``limit`` retained events at or above
+        ``min_level``, chronological: ``records(min_level)[-limit:]``,
+        read from the ring's end and the bounded reserve, so its cost
+        does not grow with the ring (after an :meth:`absorb`, the first
+        read still sorts the ring)."""
+        if limit <= 0:
+            return []
+        floor = _LEVEL_RANK[min_level]
+        with self._lock:
+            self._sort()
+            ring = self._records if floor == 0 else self._floors[floor - 1]
+            newest = list(itertools.islice(reversed(ring), limit))[::-1]
+            if not self._reserve:
+                return newest
+            # As in records(): reserved incidents first, then a stable
+            # sort; only the ring's newest ``limit`` can make the cut.
+            parked = [
+                r for r in self._reserve if _LEVEL_RANK[r.level] >= floor
+            ]
+            return sorted(parked + newest, key=lambda r: r.ts_unix)[-limit:]
+
+    def level_counts(self) -> dict[str, int]:
+        """Retained events (ring and reserve) per level."""
+        with self._lock:
+            return dict(self._counts)
 
     def __len__(self) -> int:
         return len(self._records) + len(self._reserve)
@@ -251,6 +309,12 @@ class DisabledEventLog:
 
     def records(self, min_level: str = "DEBUG") -> list[EventRecord]:
         return []
+
+    def tail(self, limit: int, min_level: str = "DEBUG") -> list[EventRecord]:
+        return []
+
+    def level_counts(self) -> dict[str, int]:
+        return dict.fromkeys(LEVELS, 0)
 
     def absorb(self, records: Any) -> None:
         pass

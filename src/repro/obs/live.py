@@ -338,8 +338,7 @@ class LiveHub:
         return max(etas)
 
     def _recent_events(self, min_level: str = "WARN") -> list[dict[str, Any]]:
-        log = obs_events.get()
-        local = log.records(min_level=min_level) if log.enabled else []
+        local = obs_events.get().tail(EVENT_TAIL, min_level)
         with self._lock:
             shipped = self.accumulator.events()
         merged: dict[tuple, Any] = {}
@@ -390,10 +389,7 @@ class LiveHub:
                 for b in self._batches.values()
             ]
         log = obs_events.get()
-        level_counts = {level: 0 for level in obs_events.LEVELS}
-        if log.enabled:
-            for record in log.records():
-                level_counts[record.level] += 1
+        level_counts = log.level_counts()
         recent = self._recent_events()
         flags = sorted(
             {

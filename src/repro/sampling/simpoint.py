@@ -21,11 +21,27 @@ Reimplements the SimPoint 3.0 pipeline the paper uses (Hamerly et al.,
 SimPoint "allows users to specify the maximum number of clusters ... but
 may return fewer than this maximum" -- both behaviours are preserved
 (``max_k`` caps k; BIC may choose fewer).
+
+Step 3's (k, restart) runs -- 30 for the defaults -- are independent,
+so one call runs them as one array program (:func:`_best_of_restarts`):
+seeding advances every run one centre at a time, and Lloyd iterates
+the live runs together (one stacked product per k, one ``argmin``, one
+``bincount`` each for masses and centroid sums, one convergence test),
+while each run keeps its own convergence exit, empty-cluster reseeds
+and cycle jump.  Every label, centroid and distortion keeps the bits a
+lone run gives: a run's products stay BLAS calls of its own shape,
+reductions run along the same contiguous axis, ``bincount`` adds each
+(run, cluster, column) bin in row order (exact for integer weights;
+other weights keep the masked sums when reseeding), and each run draws
+from its own generator through a replica of ``Generator.choice``.
+``docs/performance.md`` gives the argument; the tests keep the per-run
+code as the oracle.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from typing import Sequence
 
 import numpy as np
@@ -127,29 +143,283 @@ def project_features(
     return projected
 
 
-def _kmeans_pp_init(
+#: Element budget of one batch of Lloyd runs: a batch's largest
+#: temporaries hold at most this many (run, point, column) values.
+#: Fixed, so a sweep's peak memory does not grow with its run count.
+_BATCH_ELEMENTS = 1 << 16
+
+
+def _choice(
+    probabilities: np.ndarray, rngs: Sequence[np.random.Generator]
+) -> np.ndarray:
+    """``rngs[a].choice(n, p=probabilities[a])`` for every row ``a``.
+
+    The draw numpy makes -- its cumulative sum, renormalized by the last
+    entry, searched right-sided at one ``random()`` -- without its
+    argument checks, which cost more than the draw: callers pass finite,
+    non-negative rows that sum to 1 up to rounding.
+    """
+    cdf = probabilities.cumsum(axis=1)
+    cdf /= cdf[:, -1:].copy()
+    uniform = np.array([rng.random() for rng in rngs])
+    return (cdf <= uniform[:, None]).sum(axis=1)
+
+
+def _kmeans_pp_runs(
     points: np.ndarray,
     weights: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
+    ks: Sequence[int],
+    rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """Weighted k-means++ seeding."""
-    n = points.shape[0]
-    centroids = np.empty((k, points.shape[1]), dtype=np.float64)
-    first = rng.choice(n, p=weights / weights.sum())
-    centroids[0] = points[first]
-    closest_sq = ((points - centroids[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        scores = closest_sq * weights
-        total = scores.sum()
-        if total <= 0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=scores / total))
-        centroids[j] = points[idx]
-        dist = ((points - centroids[j]) ** 2).sum(axis=1)
-        np.minimum(closest_sq, dist, out=closest_sq)
+    """Weighted k-means++ seeding of several runs, one centre at a time.
+
+    ``ks`` is non-increasing, so the runs still choosing a j-th centre
+    are a prefix.  Run ``a`` draws only from ``rngs[a]``, in the order a
+    lone run would.  Returns (runs, ks[0], dim) centroids; rows past a
+    run's k are zero.  The squared distances from a chosen point to
+    every point are computed once per distinct point value, however
+    many runs (or duplicate points) choose it: each row depends on that
+    value alone.
+    """
+    n, dim = points.shape
+    centroids = np.zeros((len(ks), ks[0], dim))
+    cache: dict[bytes, np.ndarray] = {}
+
+    def distances(chosen: np.ndarray) -> np.ndarray:
+        out = []
+        for point in points[chosen]:
+            key = point.tobytes()
+            row = cache.get(key)
+            if row is None:
+                row = cache[key] = ((points - point) ** 2).sum(axis=1)
+            out.append(row)
+        return np.array(out)
+
+    def draw(scores: np.ndarray) -> np.ndarray:
+        """One centre per row, chosen with probability ∝ its score."""
+        totals = scores.sum(axis=1)
+        if not np.isfinite(totals).all():
+            raise ValueError("k-means++ seeding scores are not finite")
+        positive = totals > 0
+        if positive.all():
+            return _choice(scores / totals[:, None], rngs[: len(scores)])
+        # A row whose points all sit on its centres draws uniformly.
+        chosen = np.empty(len(scores), dtype=np.int64)
+        for a in np.flatnonzero(~positive).tolist():
+            chosen[a] = rngs[a].integers(n)
+        drawn = np.flatnonzero(positive)
+        if drawn.size:
+            chosen[drawn] = _choice(
+                scores[drawn] / totals[drawn, None],
+                [rngs[a] for a in drawn.tolist()],
+            )
+        return chosen
+
+    chosen = draw(np.broadcast_to(weights, (len(ks), n)))
+    centroids[:, 0] = points[chosen]
+    closest = distances(chosen)
+    for j in range(1, ks[0]):
+        live = sum(k > j for k in ks)
+        chosen = draw(closest[:live] * weights)
+        centroids[:live, j] = points[chosen]
+        np.minimum(closest[:live], distances(chosen), out=closest[:live])
     return centroids
+
+
+def _lloyd_runs(
+    points: np.ndarray,
+    weights: np.ndarray,
+    centroids: np.ndarray,
+    ks: Sequence[int],
+    max_iterations: int,
+) -> list[tuple[np.ndarray, np.ndarray, float]]:
+    """Weighted Lloyd iterations of several runs as one array program.
+
+    ``centroids`` is a C-contiguous (runs, ks[0], dim) array; run ``a``
+    starts from its first ``ks[a]`` rows, and ``ks`` is non-increasing.
+    Returns one (labels, centroids, distortion) per run, each the same
+    bits the run gives alone.  Every iteration takes the live runs'
+    distances (one product per run size), labels, masses and centroid
+    sums together; a run leaves the batch when it converges or reaches
+    its last iteration, reseeds its empty clusters on its own, and
+    jumps exactly out of a cycle (module docstring).
+    """
+    n, dim = points.shape
+    log = _events.get()
+    points2 = 2.0 * points
+    norms = (points**2).sum(axis=1, keepdims=True)
+    columns = np.arange(dim)
+    # Weights and weighted points once per run, for the bincounts; every
+    # run's copy is the same, so a prefix serves the live runs.
+    w_tiled = np.tile(weights, len(ks))
+    x_tiled = np.tile((weights[:, None] * points).ravel(), len(ks))
+    # A bincount mean equals the masked mean of the per-cluster loop
+    # when every mass sum is exact (integer weights) and numpy sums the
+    # masked rows in order (two or more columns); otherwise reseeding
+    # iterations take every mean by mask, as the per-cluster loop does.
+    bincount_means = (
+        dim > 1 and not np.modf(weights)[0].any()
+        and weights.sum() < 2.0**53
+    )
+    slots = list(range(len(ks)))
+    ks = list(ks)
+    results: list = [None] * len(ks)
+    labels = np.zeros((len(ks), n), dtype=np.int64)
+    ends = np.full(len(ks), max_iterations)
+    seen: list[dict[bytes, int] | None] = [{} for _ in ks]
+    done = np.zeros(len(ks), dtype=bool)
+    # Padded columns (past a run's k) read +inf, so argmin never picks
+    # them; real columns are rewritten every iteration.
+    d2 = np.zeros((len(ks), n, ks[0]))
+    runs, width = len(ks), ks[0]
+    pad = np.arange(width) >= np.array(ks)[:, None]
+    iteration = 0
+    while True:
+        # Equal-k runs share one stacked product: the same BLAS call per
+        # run as a lone run's ``points2 @ centroids.T``.
+        start = 0
+        for k, members in itertools.groupby(ks):
+            stop = start + len(list(members))
+            cross = np.matmul(
+                points2, centroids[start:stop, :k].transpose(0, 2, 1)
+            )
+            np.subtract(norms, cross, out=d2[start:stop, :, :k])
+            start = stop
+        csq = (centroids**2).sum(axis=2)
+        csq[pad] = np.inf
+        d2 += csq[:, None, :]
+        if done.any():
+            # Runs that finished last iteration: their distortion from
+            # these distances, then they leave the batch.
+            finished = np.flatnonzero(done)
+            point_d2 = np.maximum(
+                d2[finished[:, None], np.arange(n), labels[finished]], 0.0
+            )
+            distortions = (weights * point_d2).sum(axis=1).tolist()
+            for a, distortion in zip(finished.tolist(), distortions):
+                results[slots[a]] = (
+                    labels[a].copy(), centroids[a, : ks[a]].copy(),
+                    distortion,
+                )
+            keep = np.flatnonzero(~done)
+            if not keep.size:
+                return results
+            slots = [slots[a] for a in keep.tolist()]
+            seen = [seen[a] for a in keep.tolist()]
+            ks = [ks[a] for a in keep.tolist()]
+            runs, width = len(ks), ks[0]
+            labels, ends, pad = labels[keep], ends[keep], pad[keep, :width]
+            centroids = np.ascontiguousarray(centroids[keep, :width])
+            d2 = d2[keep, :, :width]
+        iteration += 1
+        new_labels = d2.argmin(axis=2)
+        bins = new_labels + (np.arange(runs) * width)[:, None]
+        masses = np.bincount(
+            bins.ravel(), weights=w_tiled[: runs * n],
+            minlength=runs * width,
+        ).reshape(runs, width)
+        sums = np.bincount(
+            (bins[:, :, None] * dim + columns).ravel(),
+            weights=x_tiled[: runs * n * dim],
+            minlength=runs * width * dim,
+        ).reshape(runs, width, dim)
+        filled = masses > 0
+        means = sums / np.where(filled, masses, 1.0)[:, :, None]
+        full = (filled | pad).all(axis=1)
+        centroids = np.where(full[:, None, None], means, centroids)
+        for a in np.flatnonzero(~full).tolist():
+            # A run that emptied a cluster runs the per-cluster loop:
+            # each empty cluster is reseeded at the point farthest from
+            # the centroids *as updated so far this iteration* (stale
+            # distances could pick a point an updated centroid now
+            # covers), the vacated centroid excluded.  A later cluster
+            # that a reseed robbed of a point takes its masked mean;
+            # every other cluster its bincount mean, the same bits.
+            cent, run_labels = centroids[a, : ks[a]], new_labels[a]
+            mass, robbed = masses[a].tolist(), set()
+            for j in range(ks[a]):
+                if j in robbed or not bincount_means:
+                    mask = run_labels == j
+                    member_mass = weights[mask].sum()
+                    if member_mass > 0:
+                        cent[j] = (
+                            weights[mask, None] * points[mask]
+                        ).sum(axis=0) / member_mass
+                        continue
+                elif mass[j] > 0:
+                    cent[j] = means[a, j]
+                    continue
+                current_d2 = norms - points2 @ cent.T + (cent**2).sum(axis=1)
+                current_d2[:, j] = np.inf
+                farthest = int(current_d2.min(axis=1).argmax())
+                if run_labels[farthest] > j:
+                    robbed.add(int(run_labels[farthest]))
+                cent[j] = points[farthest]
+                run_labels[farthest] = j
+                if log.enabled:
+                    log.debug("simpoint.reseed", cluster=j, point=farthest)
+        converged = (new_labels == labels).all(axis=1)
+        labels = new_labels
+        for a in np.flatnonzero(~converged).tolist():
+            states = seen[a]
+            if states is None:
+                continue
+            first = states.setdefault(
+                labels[a].tobytes() + centroids[a, : ks[a]].tobytes(),
+                iteration,
+            )
+            if first < iteration:
+                period = iteration - first
+                ends[a] = iteration + (max_iterations - iteration) % period
+                seen[a] = None
+                if log.enabled:
+                    log.debug(
+                        "simpoint.cycle", k=ks[a], period=period,
+                        skipped=max_iterations - int(ends[a]),
+                    )
+        done = converged | (ends <= iteration)
+
+
+def _best_of_restarts(
+    points: np.ndarray,
+    weights: np.ndarray,
+    specs: Sequence[tuple[int, int]],
+    options: SimPointOptions,
+) -> list[tuple[np.ndarray, np.ndarray, float]]:
+    """Best-of-``restarts`` clustering for each ``(k, seed_offset)``.
+
+    Restart ``r`` seeds its generator with ``options.seed + 7919 *
+    (seed_offset + r)``; ties keep the earliest restart.  Every run is
+    seeded at once, largest k first, then iterated in batches of at
+    most :data:`_BATCH_ELEMENTS` (run, point, column) values.
+    """
+    n, dim = points.shape
+    runs = [
+        (k, options.seed + 7919 * (offset + restart))
+        for k, offset in specs
+        for restart in range(options.restarts)
+    ]
+    order = sorted(range(len(runs)), key=lambda r: -runs[r][0])
+    ks = [runs[r][0] for r in order]
+    centroids = _kmeans_pp_runs(
+        points, weights, ks,
+        [np.random.default_rng(runs[r][1]) for r in order],
+    )
+    size = max(1, _BATCH_ELEMENTS // (n * max(dim, ks[0])))
+    results: list = [None] * len(runs)
+    for start in range(0, len(order), size):
+        stop = start + size
+        batch = _lloyd_runs(
+            points, weights,
+            np.ascontiguousarray(centroids[start:stop, : ks[start]]),
+            ks[start:stop], options.max_iterations,
+        )
+        for r, result in zip(order[start:stop], batch):
+            results[r] = result
+    return [
+        min(results[i : i + options.restarts], key=lambda res: res[2])
+        for i in range(0, len(results), options.restarts)
+    ]
 
 
 def _lloyd(
@@ -158,93 +428,14 @@ def _lloyd(
     centroids: np.ndarray,
     max_iterations: int,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Weighted Lloyd iterations; returns (labels, centroids, distortion).
-
-    Equals the plain per-cluster loop bit for bit when the weights are
-    integers (instruction counts) and points have two or more columns:
-    mass sums are then exact in any order, and ``bincount`` adds each
-    cluster's weighted points in the row order of a masked
-    ``sum(axis=0)`` (which numpy sums pairwise for one column).  Each
-    iteration is a deterministic function of (labels, centroids), so
-    once that state repeats byte for byte the loop is in a cycle that
-    never converges; it then runs only the iterations that land on the
-    state iteration ``max_iterations`` would hold -- an exact jump, not
-    an early stop.
-    """
-    n, dim = points.shape
-    k = centroids.shape[0]
-    log = _events.get()
-    labels = np.zeros(n, dtype=np.int64)
-    norms = (points**2).sum(axis=1, keepdims=True)
-    # Row-major (point, dimension) products, summed per cluster by one
-    # ``bincount`` over the ``label * dim + dimension`` bins.
-    weighted = (weights[:, None] * points).ravel()
-    columns = np.arange(dim)
-
-    def sq_distances() -> np.ndarray:
-        """(n, k) squared distances to the current centroids."""
-        return (
-            norms - 2.0 * points @ centroids.T + (centroids**2).sum(axis=1)
-        )
-
-    seen: dict[bytes, int] | None = {}
-    end = max_iterations
-    iteration = 0
-    while iteration < end:
-        iteration += 1
-        new_labels = sq_distances().argmin(axis=1)
-        masses = np.bincount(new_labels, weights=weights, minlength=k)
-        if (masses > 0).all():
-            sums = np.bincount(
-                (new_labels[:, None] * dim + columns).ravel(),
-                weights=weighted,
-                minlength=k * dim,
-            )
-            centroids[:] = sums.reshape(k, dim) / masses[:, None]
-        else:
-            for j in range(k):
-                mask = new_labels == j
-                mass = weights[mask].sum()
-                if mass > 0:
-                    centroids[j] = (
-                        weights[mask, None] * points[mask]
-                    ).sum(axis=0) / mass
-                    continue
-                # Re-seed an empty cluster at the farthest point, measured
-                # against the centroids *as updated so far this
-                # iteration*: distances from before the update are stale
-                # for clusters updated earlier in this loop and could
-                # reseed on a point that is now well covered.  The
-                # vacated centroid itself is excluded -- it is the
-                # position being replaced.
-                current_d2 = sq_distances()
-                current_d2[:, j] = np.inf
-                farthest = int(current_d2.min(axis=1).argmax())
-                centroids[j] = points[farthest]
-                new_labels[farthest] = j
-                if log.enabled:
-                    log.debug("simpoint.reseed", cluster=j, point=farthest)
-        if np.array_equal(new_labels, labels):
-            labels = new_labels
-            break
-        labels = new_labels
-        if seen is None:
-            continue
-        state = labels.tobytes() + centroids.tobytes()
-        first = seen.setdefault(state, iteration)
-        if first < iteration:
-            period = iteration - first
-            end = iteration + (max_iterations - iteration) % period
-            seen = None
-            if log.enabled:
-                log.debug(
-                    "simpoint.cycle", k=k, period=period,
-                    skipped=max_iterations - end,
-                )
-    d2 = sq_distances()
-    point_d2 = np.maximum(d2[np.arange(n), labels], 0.0)
-    distortion = float((weights * point_d2).sum())
-    return labels, centroids, distortion
+    """Weighted Lloyd iterations of one run from ``centroids``; returns
+    (labels, centroids, distortion)."""
+    k, dim = centroids.shape
+    return _lloyd_runs(
+        points, weights,
+        np.array(centroids, dtype=np.float64).reshape(1, k, dim),
+        [k], max_iterations,
+    )[0]
 
 
 def weighted_kmeans(
@@ -255,19 +446,7 @@ def weighted_kmeans(
     seed_offset: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Best-of-``restarts`` weighted k-means."""
-    best: tuple[np.ndarray, np.ndarray, float] | None = None
-    for restart in range(options.restarts):
-        rng = np.random.default_rng(
-            options.seed + 7919 * (seed_offset + restart)
-        )
-        init = _kmeans_pp_init(points, weights, k, rng)
-        labels, centroids, distortion = _lloyd(
-            points, weights, init.copy(), options.max_iterations
-        )
-        if best is None or distortion < best[2]:
-            best = (labels, centroids, distortion)
-    assert best is not None
-    return best
+    return _best_of_restarts(points, weights, [(k, seed_offset)], options)[0]
 
 
 def bic_score(
@@ -317,27 +496,31 @@ def run_simpoint(
             f"weights shape {weights_arr.shape} does not match "
             f"{len(vectors)} intervals"
         )
-    if (weights_arr <= 0).any():
-        raise ValueError("interval weights must be positive")
+    # A finite total of positive weights also rules out inf and nan.
+    with np.errstate(over="ignore"):
+        total = weights_arr.sum()
+    if not ((weights_arr > 0).all() and np.isfinite(total)):
+        raise ValueError("interval weights must be positive and finite")
 
     points = project_features(vectors, options.projection_dim, options.seed)
     n = points.shape[0]
     max_k = min(options.max_k, n)
 
-    candidates: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
-    bic_by_k: dict[int, float] = {}
     if options.fixed_k is not None:
         ks: tuple[int, ...] = (min(options.fixed_k, n),)
     else:
         ks = tuple(range(1, max_k + 1))
-    for k in ks:
-        labels, centroids, distortion = weighted_kmeans(
-            points, weights_arr, k, options, seed_offset=1000 * k
+    candidates = dict(
+        zip(
+            ks,
+            _best_of_restarts(
+                points, weights_arr, [(k, 1000 * k) for k in ks], options
+            ),
         )
-        candidates[k] = (labels, centroids, distortion)
-        bic_by_k[k] = bic_score(
-            points, weights_arr, labels, centroids, distortion
-        )
+    )
+    bic_by_k = {
+        k: bic_score(points, weights_arr, *candidates[k]) for k in ks
+    }
 
     if options.fixed_k is not None:
         chosen_k = ks[0]

@@ -486,6 +486,52 @@ def test_recent_events_merge_shipped_worker_events(hub):
     assert "merge.local" in names and "merge.shipped" in names
 
 
+def _recent_by_full_scan(hub, log, min_level):
+    """The hub's event tail as it was read before ``EventLog.tail``:
+    every local record at the level, merged with the shipped ones."""
+    merged = {}
+    for record in log.records(min_level=min_level) + hub.accumulator.events():
+        key = (record.ts_unix, record.level, record.name, record.fields)
+        merged[key] = record
+    ordered = sorted(merged.values(), key=lambda r: r.ts_unix)
+    return [r.to_json() for r in ordered[-live.EVENT_TAIL:]]
+
+
+def test_scrapes_equal_a_full_scan_without_reading_the_ring(
+    hub, monkeypatch
+):
+    """``/health`` and ``/events`` read the event log's newest records
+    and its level counts, not every retained record, and still return
+    what a full scan returns -- over a ring holding every level, parked
+    incidents and out-of-order worker records not yet sorted."""
+    from test_obs_events import _counts_by_scan, _incident_batches
+
+    tracker = DeltaTracker("w5")
+    worker_log = obs_events.EventLog()
+    worker_log.error("shipped.incident")
+    hub.apply_delta(tracker.capture(Telemetry(), log=worker_log))
+    scanned = obs_events.EventLog(capacity=64)
+    with obs_events.session(capacity=64) as log:
+        for batch in _incident_batches():
+            for target in (scanned, log):
+                target.absorb(batch)
+        want = {
+            level: _recent_by_full_scan(hub, scanned, level)
+            for level in ("WARN", "DEBUG")
+        }
+        counts = _counts_by_scan(scanned)
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("a scrape read every retained record")
+
+        monkeypatch.setattr(obs_events.EventLog, "records", no_scan)
+        doc = hub.health_doc()
+        assert doc["events"]["counts"] == counts
+        assert doc["events"]["recent"] == want["WARN"]
+        assert hub._recent_events(min_level="DEBUG") == want["DEBUG"]
+    assert "shipped.incident" in {e["name"] for e in want["WARN"]}
+
+
 def test_disabled_hub_is_inert():
     assert live.get() is live.DISABLED_HUB
     assert not live.is_enabled()

@@ -108,6 +108,8 @@ def test_disabled_log_is_inert():
     log.error("dropped too")
     log.absorb([EventRecord(1.0, "INFO", "x", None, ())])
     assert log.records() == []
+    assert log.tail(50, "WARN") == []
+    assert log.level_counts() == dict.fromkeys(obs_events.LEVELS, 0)
     assert len(log) == 0
 
 
@@ -201,3 +203,51 @@ def test_incident_reserve_is_itself_bounded():
         assert log.dropped == 6
         kept = [dict(r.fields)["i"] for r in log.records()]
         assert kept == [6, 7, 8, 9]
+
+
+# -- reading the newest records and the level counts without a scan ---------
+
+
+def _incident_batches():
+    """Six worker-style batches for a 64-record ring: every level mixed,
+    timestamps that interleave with and predate the records already
+    held (with ties), enough WARN/ERROR to park incidents in the reserve
+    and then drop some of them."""
+    batches = []
+    for batch in range(6):
+        batches.append(
+            [
+                EventRecord(
+                    1000.0 + 0.01 * i + 0.003 * (batch % 3),
+                    obs_events.LEVELS[(5 * i + batch) % 4],
+                    f"batch{batch}",
+                    None,
+                    (("i", i),),
+                )
+                for i in range(90)
+            ]
+        )
+    return batches
+
+
+def _counts_by_scan(log):
+    counts = dict.fromkeys(obs_events.LEVELS, 0)
+    for record in log.records():
+        counts[record.level] += 1
+    return counts
+
+
+def test_tail_and_level_counts_equal_a_full_scan():
+    log = obs_events.EventLog(capacity=64)
+    for batch in _incident_batches():
+        log.absorb(batch)
+        log.warn("local.incident")
+        log.debug("local.chatter")
+        for level in obs_events.LEVELS:
+            everything = log.records(level)
+            for limit in (1, 7, 50, 64, 1000):
+                assert log.tail(limit, level) == everything[-limit:]
+            assert log.tail(0, level) == []
+        assert log.level_counts() == _counts_by_scan(log)
+    assert log.dropped > 0 and len(log) > log.capacity  # reserve in use
+    assert sum(log.level_counts().values()) == len(log)

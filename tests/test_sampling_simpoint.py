@@ -9,6 +9,8 @@ from repro.obs import events as obs_events
 from repro.sampling.simpoint import (
     SimPointOptions,
     SimPointResult,
+    _best_of_restarts,
+    _choice,
     _lloyd,
     bic_score,
     project_features,
@@ -155,6 +157,15 @@ def test_input_validation():
         run_simpoint([{("k",): 1.0}], [1, 2])
     with pytest.raises(ValueError, match="positive"):
         run_simpoint([{("k",): 1.0}], [0])
+    # Rejected before seeding: an infinite weight, a nan, and finite
+    # weights whose total overflows.
+    for weights in ([float("inf"), 1.0], [float("nan"), 1.0], [1e308, 1e308]):
+        with pytest.raises(ValueError, match="positive and finite"):
+            run_simpoint([{("k",): 1.0}, {("k",): 2.0}], weights)
+    # A non-finite feature value reaches seeding as nan coordinates.
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="scores are not finite"):
+            run_simpoint([{("k",): float("inf")}, {("k",): 1.0}], [1, 1])
 
 
 def test_options_validation():
@@ -407,3 +418,258 @@ def test_lloyd_cycle_jumps_to_the_last_iteration():
     assert dict(cycles[0].fields) == {"k": 2, "period": 2, "skipped": 96}
     reseeds = [r for r in records if r.name == "simpoint.reseed"]
     assert len(reseeds) == 4
+
+
+# -- the batched sweep against the per-run code it replaced -------------------
+
+
+def _kmeans_pp_init_per_run(points, weights, k, rng):
+    """Weighted k-means++ seeding of one run through ``Generator.choice``
+    (the per-run seeding the batched sweep replaced)."""
+    n = points.shape[0]
+    centroids = np.empty((k, points.shape[1]), dtype=np.float64)
+    first = rng.choice(n, p=weights / weights.sum())
+    centroids[0] = points[first]
+    closest_sq = ((points - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        scores = closest_sq * weights
+        total = scores.sum()
+        if total <= 0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=scores / total))
+        centroids[j] = points[idx]
+        dist = ((points - centroids[j]) ** 2).sum(axis=1)
+        np.minimum(closest_sq, dist, out=closest_sq)
+    return centroids
+
+
+def _lloyd_per_run(points, weights, centroids, max_iterations):
+    """One run's Lloyd loop with the bincount update and the exact cycle
+    jump (the per-run ``_lloyd`` the batched sweep replaced)."""
+    n, dim = points.shape
+    k = centroids.shape[0]
+    labels = np.zeros(n, dtype=np.int64)
+    norms = (points**2).sum(axis=1, keepdims=True)
+    weighted = (weights[:, None] * points).ravel()
+    columns = np.arange(dim)
+
+    def sq_distances():
+        return (
+            norms - 2.0 * points @ centroids.T + (centroids**2).sum(axis=1)
+        )
+
+    seen = {}
+    end = max_iterations
+    iteration = 0
+    while iteration < end:
+        iteration += 1
+        new_labels = sq_distances().argmin(axis=1)
+        masses = np.bincount(new_labels, weights=weights, minlength=k)
+        if (masses > 0).all():
+            sums = np.bincount(
+                (new_labels[:, None] * dim + columns).ravel(),
+                weights=weighted,
+                minlength=k * dim,
+            )
+            centroids[:] = sums.reshape(k, dim) / masses[:, None]
+        else:
+            for j in range(k):
+                mask = new_labels == j
+                mass = weights[mask].sum()
+                if mass > 0:
+                    centroids[j] = (
+                        weights[mask, None] * points[mask]
+                    ).sum(axis=0) / mass
+                    continue
+                current_d2 = sq_distances()
+                current_d2[:, j] = np.inf
+                farthest = int(current_d2.min(axis=1).argmax())
+                centroids[j] = points[farthest]
+                new_labels[farthest] = j
+        if np.array_equal(new_labels, labels):
+            labels = new_labels
+            break
+        labels = new_labels
+        if seen is None:
+            continue
+        state = labels.tobytes() + centroids.tobytes()
+        first = seen.setdefault(state, iteration)
+        if first < iteration:
+            period = iteration - first
+            end = iteration + (max_iterations - iteration) % period
+            seen = None
+    d2 = sq_distances()
+    point_d2 = np.maximum(d2[np.arange(n), labels], 0.0)
+    distortion = float((weights * point_d2).sum())
+    return labels, centroids, distortion
+
+
+def _best_per_run(points, weights, k, options, seed_offset):
+    """Best-of-restarts k-means, one run after another (the loop the
+    batched sweep replaced)."""
+    best = None
+    for restart in range(options.restarts):
+        rng = np.random.default_rng(
+            options.seed + 7919 * (seed_offset + restart)
+        )
+        init = _kmeans_pp_init_per_run(points, weights, k, rng)
+        result = _lloyd_per_run(
+            points, weights, init.copy(), options.max_iterations
+        )
+        if best is None or result[2] < best[2]:
+            best = result
+    return best
+
+
+def _assert_sweep_matches_per_run(points, weights, options):
+    """Every k's best (labels, centroids, distortion), compared as bytes."""
+    ks = range(1, min(options.max_k, len(points)) + 1)
+    got = _best_of_restarts(
+        points, weights, [(k, 1000 * k) for k in ks], options
+    )
+    for k, result in zip(ks, got):
+        want = _best_per_run(points, weights, k, options, 1000 * k)
+        assert result[0].tobytes() == want[0].tobytes(), k
+        assert result[1].tobytes() == want[1].tobytes(), k
+        assert (
+            np.float64(result[2]).tobytes()
+            == np.float64(want[2]).tobytes()
+        ), k
+
+
+@st.composite
+def _sweep_inputs(draw):
+    """Grid points with duplicates (as ``_lloyd_inputs``), and SimPoint
+    options small enough to reseed and cycle.  Weights are integers
+    (instruction counts) or tenths, and points may have one column: in
+    those two cases a reseeding iteration keeps the per-run masked
+    sums, which the property checks too."""
+    n = draw(st.integers(1, 60))
+    dim = draw(st.integers(1, 16))
+    n_rows = draw(st.integers(1, 6))
+    row = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    rows = np.array(
+        draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+    ) / 10.0
+    picks = st.integers(0, n_rows - 1)
+    points = rows[draw(st.lists(picks, min_size=n, max_size=n))]
+    weights = np.array(
+        draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n)),
+        dtype=np.float64,
+    ) / draw(st.sampled_from([1.0, 10.0]))
+    options = SimPointOptions(
+        max_k=draw(st.integers(1, 10)),
+        restarts=draw(st.integers(1, 3)),
+        max_iterations=draw(st.integers(1, 100)),
+        seed=draw(st.integers(0, 2**31 - 1)),
+    )
+    return points, weights, options
+
+
+@settings(deadline=None, max_examples=200)
+@given(_sweep_inputs())
+def test_sweep_matches_per_run_kmeans_exactly(inputs):
+    """Seeding every run together and iterating the live runs as one
+    array program changes no bit of any k's best clustering."""
+    _assert_sweep_matches_per_run(*inputs)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(1, 80).flatmap(
+        lambda n: st.lists(
+            st.lists(
+                st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
+                min_size=n, max_size=n,
+            ),
+            min_size=1, max_size=4,
+        )
+    ),
+    st.integers(0, 2**63 - 1),
+)
+def test_choice_replica_draws_what_generator_choice_draws(rows, seed):
+    """``_choice`` picks the index ``Generator.choice(n, p=...)`` picks,
+    zero-probability entries included, and consumes the same draws."""
+    scores = np.array(rows)
+    scores[:, -1] += scores.sum(axis=1) == 0  # every row needs a total
+    probabilities = scores / scores.sum(axis=1)[:, None]
+    replicas = [np.random.default_rng(seed + a) for a in range(len(rows))]
+    got = _choice(probabilities, replicas)
+    for a, row in enumerate(probabilities):
+        numpy_rng = np.random.default_rng(seed + a)
+        assert got[a] == numpy_rng.choice(len(row), p=row)
+        assert replicas[a].random() == numpy_rng.random()
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_stacked_products_and_reductions_equal_per_run_ones(k):
+    """The sweep stacks equal-k runs' ``points @ centroids.T`` into one
+    3-D ``matmul`` and reduces stacked arrays along their last axis.
+    Both must give each run's own bits; a numpy or BLAS upgrade that
+    breaks either fails here.  (A product padded past k, or one flat
+    product over every run's centroids, does not: numpy takes a gemv
+    path for k = 1, and BLAS blocks columns differently.)"""
+    rng = np.random.default_rng(k)
+    for n in (1, 7, 60, 513):
+        for dim in (1, 2, 15):
+            points2 = 2.0 * rng.uniform(-1.0, 1.0, (n, dim))
+            batch = rng.uniform(-1.0, 1.0, (3, 10, dim))[:, :k].copy()
+            padded = np.zeros((3, 10, dim))
+            padded[:, :k] = batch
+            for stack in (batch, padded[:, :k]):
+                products = np.matmul(points2, stack.transpose(0, 2, 1))
+                squares = (stack**2).sum(axis=2)
+                for run in range(3):
+                    alone = np.ascontiguousarray(batch[run])
+                    assert (
+                        products[run].tobytes()
+                        == (points2 @ alone.T).tobytes()
+                    )
+                    assert (
+                        squares[run].tobytes()
+                        == (alone**2).sum(axis=1).tobytes()
+                    )
+            values = rng.uniform(0.0, 5.0, (3, n))
+            for run in range(3):
+                assert values.sum(axis=1)[run] == values[run].sum()
+                assert (
+                    values.cumsum(axis=1)[run].tobytes()
+                    == values[run].cumsum().tobytes()
+                )
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("app", ["cb-gaussian-buffer", "sandra-proc-gpu"])
+def test_sweep_replays_explore_against_per_run_kmeans(app, monkeypatch):
+    """Every ``run_simpoint`` call of exploring a real app (scale 0.25,
+    as perfbench runs it), replayed through the sweep and the per-run
+    oracle, k by k.  ``cb-gaussian-buffer`` reseeds in most of its
+    Lloyd iterations and cycles; both must occur in the replay."""
+    from repro.sampling import explorer, explore_application
+    from repro.sampling.pipeline import profile_workload
+    from repro.workloads import load_app
+
+    calls = []
+    real = explorer.run_simpoint
+
+    def spy(vectors, weights, options=None):
+        calls.append((vectors, weights, options or SimPointOptions()))
+        return real(vectors, weights, options)
+
+    monkeypatch.setattr(explorer, "run_simpoint", spy)
+    workload = profile_workload(load_app(app, scale=0.25))
+    with obs_events.session() as log:
+        explore_application(workload, jobs=1)
+        names = {record.name for record in log.records()}
+    assert len(calls) == 30
+    assert "simpoint.reseed" in names
+    if app == "cb-gaussian-buffer":
+        assert "simpoint.cycle" in names
+    for vectors, weights, options in calls:
+        points = project_features(
+            vectors, options.projection_dim, options.seed
+        )
+        _assert_sweep_matches_per_run(
+            points, np.asarray(weights, dtype=np.float64), options
+        )
