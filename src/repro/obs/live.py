@@ -341,6 +341,10 @@ class LiveHub:
         local = obs_events.get().tail(EVENT_TAIL, min_level)
         with self._lock:
             shipped = self.accumulator.events()
+        floor = obs_events.LEVELS.index(min_level)
+        shipped = [
+            r for r in shipped if obs_events.LEVELS.index(r.level) >= floor
+        ]
         merged: dict[tuple, Any] = {}
         for record in local + shipped:
             key = (record.ts_unix, record.level, record.name, record.fields)
@@ -425,31 +429,10 @@ class LiveHub:
             },
             "flags": flags,
             "faults_injected": faults_injected,
-            "hit_rates": self._hit_rates(counters),
+            "hit_rates": obs_metrics.hit_rates(counters),
         }
         doc.update(self._section_health())
         return doc
-
-    @staticmethod
-    def _hit_rates(counters: dict[str, float]) -> dict[str, float]:
-        out: dict[str, float] = {}
-        accesses = counters.get("gpu.cache.accesses", 0.0)
-        if accesses > 0:
-            out["gpu_cache"] = counters.get("gpu.cache.hits", 0.0) / accesses
-        memo_hits = counters.get("simulation.epoch_memo_hits", 0.0)
-        memo_total = memo_hits + counters.get(
-            "simulation.epoch_memo_misses", 0.0
-        )
-        if memo_total > 0:
-            out["simulation_memo"] = memo_hits / memo_total
-        pc_total = counters.get(
-            "sampling.profile_cache.hits", 0.0
-        ) + counters.get("sampling.profile_cache.misses", 0.0)
-        if pc_total > 0:
-            out["profile_cache"] = (
-                counters.get("sampling.profile_cache.hits", 0.0) / pc_total
-            )
-        return out
 
 
 class DisabledLiveHub:

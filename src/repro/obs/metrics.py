@@ -115,6 +115,30 @@ def _escape_label(value: Any) -> str:
     )
 
 
+def hit_rates(counters: Mapping[str, float]) -> dict[str, float]:
+    """Hits over lookups from a ``{counter name: value}`` mapping: the
+    simulated GPU cache (``gpu_cache``), the batched simulator's epoch
+    memo (``simulation_memo``) and the profile cache
+    (``profile_cache``).  A cache with no lookups has no entry."""
+
+    def value(name: str) -> float:
+        return counters.get(name, 0.0)
+
+    memo_hits = value("simulation.epoch_memo_hits")
+    profile_hits = value("sampling.profile_cache.hits")
+    rates: dict[str, float] = {}
+    for rate, hits, lookups in (
+        ("gpu_cache", value("gpu.cache.hits"), value("gpu.cache.accesses")),
+        ("simulation_memo", memo_hits,
+         memo_hits + value("simulation.epoch_memo_misses")),
+        ("profile_cache", profile_hits,
+         profile_hits + value("sampling.profile_cache.misses")),
+    ):
+        if lookups > 0:
+            rates[rate] = hits / lookups
+    return rates
+
+
 def exposition(
     counters: Mapping[str, float],
     gauges: Mapping[str, Any] | None = None,

@@ -21,7 +21,8 @@ import time
 from typing import Any, Iterable
 
 from repro.faults.health import HEALTHY, ProfileHealth
-from repro.obs.events import DisabledEventLog, EventLog, LEVELS
+from repro.obs.events import DisabledEventLog, EventLog
+from repro.obs.metrics import hit_rates
 from repro.telemetry.export import unit_for
 from repro.telemetry.registry import Telemetry
 from repro.telemetry.spans import SpanRecord
@@ -253,32 +254,18 @@ def _counters_section(tm: Telemetry) -> str:
     return _section("Counters and gauges", "".join(parts))
 
 
-def _ratio(counters, hits_name: str, total_name: str) -> float | None:
-    hits = counters.value(hits_name)
-    total = counters.value(total_name)
-    if total <= 0:
-        return None
-    return hits / total
-
-
 def _hit_rates_section(tm: Telemetry) -> str:
-    counters = tm.counters
-    memo_hits = counters.value("simulation.epoch_memo_hits")
-    memo_total = memo_hits + counters.value("simulation.epoch_memo_misses")
-    pc_hits = counters.value("sampling.profile_cache.hits")
-    pc_total = pc_hits + counters.value("sampling.profile_cache.misses")
-    candidates = (
-        ("GPU cache (sim)",
-         _ratio(counters, "gpu.cache.hits", "gpu.cache.accesses")),
-        ("Simulation memo",
-         memo_hits / memo_total if memo_total else None),
-        ("Profile cache",
-         pc_hits / pc_total if pc_total else None),
+    rates = hit_rates(
+        {name: c.value for name, c in tm.counters.counters.items()}
     )
     rows = [
-        (label, f"{rate * 100.0:.2f}%")
-        for label, rate in candidates
-        if rate is not None
+        (label, f"{rates[rate] * 100.0:.2f}%")
+        for rate, label in (
+            ("gpu_cache", "GPU cache (sim)"),
+            ("simulation_memo", "Simulation memo"),
+            ("profile_cache", "Profile cache"),
+        )
+        if rate in rates
     ]
     if not rows:
         return ""
@@ -375,9 +362,7 @@ def _fault_section(
             )
     if fault_counters:
         parts.append(_table(("counter", "value"), fault_counters, "num"))
-    incidents = [
-        r for r in log.records(min_level="WARN")
-    ][-MAX_EVENT_ROWS:]
+    incidents = log.tail(MAX_EVENT_ROWS, "WARN")
     if incidents:
         rows = [
             (
@@ -397,23 +382,21 @@ def _fault_section(
 
 
 def _events_section(log: EventLog | DisabledEventLog) -> str:
-    records = log.records()
-    if not records:
+    counts = log.level_counts()
+    total = sum(counts.values())
+    if not total:
         return _section(
             "Event log", '<p class="note">(no events recorded)</p>'
         )
-    by_level = {level: 0 for level in LEVELS}
-    for record in records:
-        by_level[record.level] += 1
     summary = _table(
         ("level", "events"),
-        [(level, _fmt(count)) for level, count in by_level.items()],
+        [(level, _fmt(count)) for level, count in counts.items()],
         "num",
     )
     return _section(
         "Event log",
         summary,
-        note=f"{len(records)} events total; "
+        note=f"{total} events total; "
         "WARN/ERROR detail appears under Faults and health.",
     )
 
@@ -516,7 +499,7 @@ def render_report(
         ("counters", _fmt(len(tm.counters.counters))),
         ("gauges", _fmt(len(tm.counters.gauges))),
         ("histograms", _fmt(len(tm.counters.histograms))),
-        ("events", _fmt(len(log.records()))),
+        ("events", _fmt(len(log))),
     ]
     sections = [
         _section("Run", _table(("field", "value"), meta_rows)),

@@ -7,8 +7,9 @@ one-shot CLI into a service:
 
 * :mod:`repro.serve.protocol` -- the JSON job protocol (specs, states,
   views, validation);
-* :mod:`repro.serve.queue` -- an asyncio job queue with priorities,
-  client-fair ordering, bounded backpressure, and per-job cancellation;
+* :mod:`repro.serve.queue` -- a job queue run by its own worker
+  threads under one lock, with priorities, client-fair ordering,
+  bounded backpressure, and per-job cancellation;
 * :mod:`repro.serve.work` -- job execution over the existing pipeline
   (:func:`~repro.sampling.pipeline.profile_workload` and friends),
   served from the shared multi-tenant

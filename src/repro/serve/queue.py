@@ -1,13 +1,13 @@
-"""The daemon's asyncio job queue: priorities, fairness, backpressure.
+"""The daemon's job queue: priorities, fairness, backpressure.
 
-One event loop (on a dedicated thread) owns every piece of queue state,
-so there are no locks to get wrong: HTTP handler threads talk to the
-loop through ``asyncio.run_coroutine_threadsafe`` and get plain dict
-snapshots back.  Actual job work runs in a bounded
-``ThreadPoolExecutor`` (``workers`` slots) so the loop itself never
-blocks; per-job parallel stages can still fan out through
-:mod:`repro.parallel` (each executing job may carry its own ``jobs``
-fan-out, exactly like the CLI).
+One :class:`threading.Condition` guards every piece of queue state.
+HTTP handler threads submit, cancel and query under its lock and get
+plain dict views back.  The queue's own ``workers`` threads each take
+the next job under the lock, run it outside the lock, and record how
+it ended under the lock again, so job work never runs on a handler
+thread and never holds up a query; per-job parallel stages can still
+fan out through :mod:`repro.parallel` (each executing job may carry
+its own ``jobs`` fan-out, exactly like the CLI).
 
 Scheduling order is ``(-priority, client_rank, seq)``:
 
@@ -33,8 +33,6 @@ asserts.
 
 from __future__ import annotations
 
-import asyncio
-import concurrent.futures
 import heapq
 import threading
 import time
@@ -128,7 +126,7 @@ class _Job:
 
 
 class JobQueue:
-    """Priority/fair/bounded scheduler over an asyncio loop thread."""
+    """Priority/fair/bounded scheduler run by its own worker threads."""
 
     def __init__(
         self,
@@ -142,246 +140,136 @@ class JobQueue:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self._execute = execute
-        #: Called (loop thread) with the job view after each terminal
-        #: transition -- the server hangs the run ledger off this hook.
+        #: Called (under the queue lock) with the job view after each
+        #: terminal transition -- the server hangs the run ledger off
+        #: this hook.
         self._on_terminal = on_terminal
         self.workers = workers
         self.capacity = capacity
+        # Guards every field below; idle workers, join() and stop() all
+        # wait on it, so every change wakes every waiter.
+        self._cond = threading.Condition()
         self._jobs: dict[str, _Job] = {}
         # Kept up to date at every transition (``_move``), so a submit or
         # a scrape costs the same however many jobs the daemon has held.
         self._state_counts = {state: 0 for state in JobState.ALL}
         #: Queued + running jobs per client (absent = none).
         self._in_flight: dict[str, int] = {}
-        self._heap: list[tuple[tuple[int, int, int], str]] = []
-        self._running: set[str] = set()
+        self._heap: list[tuple[tuple[int, int, int], _Job]] = []
         self._seq = 0
         self._closing = False
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._executor: concurrent.futures.ThreadPoolExecutor | None = None
-        self._wake: asyncio.Event | None = None
-        self._scheduler_task: asyncio.Task | None = None
+        self._threads: list[threading.Thread] = []
 
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> None:
-        if self._loop is not None:
+        if self._threads:
             raise RuntimeError("queue already started")
-        self._executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-serve-job"
-        )
-        self._loop = asyncio.new_event_loop()
-        started = threading.Event()
-
-        def _run() -> None:
-            asyncio.set_event_loop(self._loop)
-            self._wake = asyncio.Event()
-            self._scheduler_task = self._loop.create_task(self._scheduler())
-            started.set()
-            self._loop.run_forever()
-
-        self._thread = threading.Thread(
-            target=_run, name="repro-serve-loop", daemon=True
-        )
-        self._thread.start()
-        started.wait(timeout=10.0)
+        self._threads = [
+            threading.Thread(
+                target=self._work, name=f"repro-serve-job-{n}", daemon=True
+            )
+            for n in range(self.workers)
+        ]
+        for thread in self._threads:
+            thread.start()
 
     def stop(self, timeout: float = STOP_TIMEOUT_SECONDS) -> None:
         """Graceful shutdown: reject new work, cancel queued jobs,
-        request cancellation of running ones, wait briefly."""
-        if self._loop is None:
-            return
-        self._call(self._close_jobs())
+        request cancellation of running ones, wait up to ``timeout``.
+        A job still running then keeps its (daemon) worker thread and
+        reaches its terminal state when it returns."""
         deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if not self._call(self._snapshot_running()):
-                break
-            time.sleep(0.05)
-        self._executor.shutdown(wait=False, cancel_futures=True)
-        try:
-            self._call(self._stop_scheduler())
-        except Exception:
-            pass
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=5.0)
-        self._loop.close()
-        self._loop = None
+        with self._cond:
+            self._closing = True
+            for job in self._jobs.values():
+                self._cancel(job)
+            self._cond.notify_all()
+            self._cond.wait_for(
+                lambda: not self._state_counts[JobState.RUNNING], timeout
+            )
+        for thread in self._threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
 
     # -- public (thread-safe) API -------------------------------------------
 
     def submit(self, spec: JobSpec) -> dict[str, Any]:
         """Enqueue one validated spec; raises :class:`QueueFull`."""
-        return self._call(self._submit(spec))
+        with self._cond:
+            if not self._threads:
+                raise RuntimeError("queue is not running (call start() first)")
+            tm = telemetry.get()
+            if self._closing:
+                raise QueueFull("daemon is shutting down")
+            queued = self._state_counts[JobState.QUEUED]
+            if queued >= self.capacity:
+                tm.inc("serve.jobs_rejected")
+                obs_events.get().warn(
+                    "serve.job.rejected",
+                    client=spec.client, kind=spec.kind, app=spec.app,
+                    queued=queued, capacity=self.capacity,
+                )
+                raise QueueFull(
+                    f"queue full ({queued}/{self.capacity} jobs queued); "
+                    "retry later"
+                )
+            self._seq += 1
+            rank = self._in_flight.get(spec.client, 0)
+            job = _Job(f"j{self._seq:06d}", spec, self._seq, rank)
+            self._jobs[job.id] = job
+            self._state_counts[JobState.QUEUED] += 1
+            self._in_flight[spec.client] = rank + 1
+            heapq.heappush(self._heap, (job.order_key, job))
+            tm.inc("serve.jobs_submitted")
+            obs_events.get().info(
+                "serve.job.queued",
+                job=job.id, client=spec.client, kind=spec.kind, app=spec.app,
+                priority=spec.priority,
+            )
+            self._cond.notify_all()
+            return job.view()
 
     def cancel(self, job_id: str) -> dict[str, Any]:
         """Cancel one job; raises :class:`UnknownJob`."""
-        return self._call(self._cancel(job_id))
+        with self._cond:
+            job = self._job(job_id)
+            self._cancel(job)
+            return job.view()
 
     def get(self, job_id: str) -> dict[str, Any]:
-        return self._call(self._get(job_id))
+        with self._cond:
+            return self._job(job_id).view()
 
     def list(self) -> list[dict[str, Any]]:
-        return self._call(self._list())
+        with self._cond:
+            # Jobs are held in submit (seq) order.
+            return [job.view() for job in self._jobs.values()]
 
     def counts(self) -> dict[str, int]:
         """Jobs per state plus queue depth / worker occupancy."""
-        return self._call(self._counts())
-
-    def join(self, timeout: float = 60.0) -> bool:
-        """Block until no job is queued or running (tests / smoke)."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            counts = self.counts()
-            if counts["queued"] == 0 and counts["running"] == 0:
-                return True
-            time.sleep(0.02)
-        return False
-
-    def _call(self, coro: Any) -> Any:
-        if self._loop is None:
-            coro.close()
-            raise RuntimeError("queue is not running (call start() first)")
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result(
-            timeout=30.0
-        )
-
-    # -- loop-side state (single-threaded; no locks) -------------------------
-
-    async def _submit(self, spec: JobSpec) -> dict[str, Any]:
-        tm = telemetry.get()
-        if self._closing:
-            raise QueueFull("daemon is shutting down")
-        queued = self._state_counts[JobState.QUEUED]
-        if queued >= self.capacity:
-            tm.inc("serve.jobs_rejected")
-            obs_events.get().warn(
-                "serve.job.rejected",
-                client=spec.client, kind=spec.kind, app=spec.app,
-                queued=queued, capacity=self.capacity,
-            )
-            raise QueueFull(
-                f"queue full ({queued}/{self.capacity} jobs queued); "
-                "retry later"
-            )
-        self._seq += 1
-        rank = self._in_flight.get(spec.client, 0)
-        job = _Job(f"j{self._seq:06d}", spec, self._seq, rank)
-        self._jobs[job.id] = job
-        self._state_counts[JobState.QUEUED] += 1
-        self._in_flight[spec.client] = rank + 1
-        heapq.heappush(self._heap, (job.order_key, job.id))
-        self._wake.set()
-        tm.inc("serve.jobs_submitted")
-        obs_events.get().info(
-            "serve.job.queued",
-            job=job.id, client=spec.client, kind=spec.kind, app=spec.app,
-            priority=spec.priority,
-        )
-        return job.view()
-
-    async def _cancel(self, job_id: str) -> dict[str, Any]:
-        job = self._jobs.get(job_id)
-        if job is None:
-            raise UnknownJob(job_id)
-        if job.state == JobState.QUEUED:
-            self._move(job, JobState.CANCELLED)
-            job.cancel.set()
-            job.ended_unix = time.time()
-            self._finalize(job)
-        elif job.state == JobState.RUNNING:
-            # Best effort: the work function aborts at its next
-            # checkpoint; the job terminates as CANCELLED then.
-            job.cancel.set()
-        return job.view()
-
-    async def _get(self, job_id: str) -> dict[str, Any]:
-        job = self._jobs.get(job_id)
-        if job is None:
-            raise UnknownJob(job_id)
-        return job.view()
-
-    async def _list(self) -> list[dict[str, Any]]:
-        return [
-            job.view()
-            for job in sorted(self._jobs.values(), key=lambda j: j.seq)
-        ]
-
-    async def _counts(self) -> dict[str, int]:
-        counts = dict(self._state_counts)
+        with self._cond:
+            counts = dict(self._state_counts)
         counts["workers"] = self.workers
         counts["capacity"] = self.capacity
         return counts
 
-    async def _snapshot_running(self) -> int:
-        return len(self._running)
-
-    async def _stop_scheduler(self) -> None:
-        if self._scheduler_task is not None:
-            self._scheduler_task.cancel()
-            try:
-                await self._scheduler_task
-            except asyncio.CancelledError:
-                pass
-
-    async def _close_jobs(self) -> None:
-        self._closing = True
-        for job in self._jobs.values():
-            if job.state == JobState.QUEUED:
-                self._move(job, JobState.CANCELLED)
-                job.cancel.set()
-                job.ended_unix = time.time()
-                self._finalize(job)
-            elif job.state == JobState.RUNNING:
-                job.cancel.set()
-        self._wake.set()
-
-    # -- scheduler -----------------------------------------------------------
-
-    async def _scheduler(self) -> None:
-        while True:
-            await self._wake.wait()
-            self._wake.clear()
-            while self._heap and len(self._running) < self.workers:
-                _, job_id = heapq.heappop(self._heap)
-                job = self._jobs.get(job_id)
-                if job is None or job.state != JobState.QUEUED:
-                    continue  # cancelled while queued; entry is stale
-                # Claim the job *before* the task runs so a cancel that
-                # lands in between sees RUNNING (token set, checkpoint
-                # abort) rather than double-finalizing a queued job.
-                self._move(job, JobState.RUNNING)
-                self._running.add(job.id)
-                asyncio.get_running_loop().create_task(self._run_job(job))
-
-    async def _run_job(self, job: _Job) -> None:
-        tm = telemetry.get()
-        job.started_unix = time.time()
-        tm.observe_hist(
-            "serve.queue_wait_seconds",
-            job.started_unix - job.submitted_unix, "s",
-        )
-        obs_events.get().info(
-            "serve.job.started",
-            job=job.id, client=job.spec.client, kind=job.spec.kind,
-            app=job.spec.app,
-        )
-        loop = asyncio.get_running_loop()
-        try:
-            job.result = await loop.run_in_executor(
-                self._executor, self._execute_traced, job
+    def join(self, timeout: float = 60.0) -> bool:
+        """Block until no job is queued or running (tests / smoke)."""
+        counts = self._state_counts
+        with self._cond:
+            return self._cond.wait_for(
+                lambda: not counts[JobState.QUEUED]
+                and not counts[JobState.RUNNING],
+                timeout,
             )
-            state = JobState.DONE
-        except JobCancelled:
-            state = JobState.CANCELLED
-        except Exception as exc:
-            state = JobState.FAILED
-            job.error = f"{type(exc).__name__}: {exc}"
-        self._move(job, state)
-        job.ended_unix = time.time()
-        self._running.discard(job.id)
-        self._finalize(job)
-        self._wake.set()
+
+    # -- under the lock ------------------------------------------------------
+
+    def _job(self, job_id: str) -> _Job:
+        job = self._jobs.get(job_id)
+        if job is None:
+            raise UnknownJob(job_id)
+        return job
 
     def _move(self, job: _Job, state: str) -> None:
         """Every state change goes through here, to keep the counts."""
@@ -394,25 +282,84 @@ class JobQueue:
                 del self._in_flight[client]
         job.state = state
 
-    def _execute_traced(self, job: _Job) -> Mapping[str, Any]:
-        """Run the work function on a worker thread under the job's
-        trace context, so spans the work opens (and hands to
-        subprocesses) join the client's trace."""
-        with trace_context.activate(job.context()):
-            return self._execute(job.spec, job.cancel)
+    def _cancel(self, job: _Job) -> None:
+        """A queued job cancels now; a running one gets its token set
+        and aborts at the work function's next checkpoint, terminating
+        as CANCELLED then (best effort)."""
+        if job.state not in JobState.TERMINAL:
+            job.cancel.set()
+        if job.state == JobState.QUEUED:
+            self._end(job, JobState.CANCELLED)
+
+    def _end(self, job: _Job, state: str) -> None:
+        """Move ``job`` to its terminal ``state`` and account for it."""
+        job.ended_unix = time.time()
+        self._move(job, state)
+        self._finalize(job)
+        self._cond.notify_all()
+
+    # -- workers -------------------------------------------------------------
+
+    def _work(self) -> None:
+        """One worker thread: take the best queued job, run it outside
+        the lock under the job's trace context (so the spans the work
+        opens join the client's trace), record how it ended."""
+        while True:
+            with self._cond:
+                job = self._next_job()
+                while job is None and not self._closing:
+                    self._cond.wait()
+                    job = self._next_job()
+                if job is None:
+                    return
+                # Claimed under the lock, so a cancel that lands next
+                # sees RUNNING (token set, checkpoint abort) rather than
+                # ending a job that is about to run.
+                self._move(job, JobState.RUNNING)
+                job.started_unix = time.time()
+            telemetry.get().observe_hist(
+                "serve.queue_wait_seconds",
+                job.started_unix - job.submitted_unix, "s",
+            )
+            obs_events.get().info(
+                "serve.job.started",
+                job=job.id, client=job.spec.client, kind=job.spec.kind,
+                app=job.spec.app,
+            )
+            result = error = None
+            try:
+                with trace_context.activate(job.context()):
+                    result = self._execute(job.spec, job.cancel)
+                state = JobState.DONE
+            except JobCancelled:
+                state = JobState.CANCELLED
+            except Exception as exc:
+                state = JobState.FAILED
+                error = f"{type(exc).__name__}: {exc}"
+            with self._cond:
+                job.result, job.error = result, error
+                self._end(job, state)
+
+    def _next_job(self) -> _Job | None:
+        """Pop the best still-queued job (entries of jobs cancelled
+        while queued are stale and skipped)."""
+        while self._heap:
+            _, job = heapq.heappop(self._heap)
+            if job.state == JobState.QUEUED:
+                return job
+        return None
 
     def _finalize(self, job: _Job) -> None:
-        """Terminal-state accounting (runs on the loop thread)."""
+        """Terminal-state accounting (under the queue lock, so terminal
+        records and ``on_terminal`` calls never interleave)."""
         tm = telemetry.get()
         log = obs_events.get()
         self._record_queue_span(job, tm)
         if job.state == JobState.DONE:
             tm.inc("serve.jobs_completed")
-            if job.started_unix is not None:
-                tm.observe_hist(
-                    "serve.job_seconds",
-                    job.ended_unix - job.started_unix, "s",
-                )
+            tm.observe_hist(
+                "serve.job_seconds", job.ended_unix - job.started_unix, "s"
+            )
             log.info(
                 "serve.job.completed",
                 job=job.id, client=job.spec.client, kind=job.spec.kind,
@@ -443,22 +390,22 @@ class JobQueue:
     def _record_queue_span(self, job: _Job, tm: Any) -> None:
         """Synthesize the job's ``serve.queue.job`` span.
 
-        Queue jobs interleave on the loop thread, so an
+        The span opens on the submitting thread and closes on whichever
+        thread ends the job, so an
         :class:`~repro.telemetry.spans.ActiveSpan` (thread-local stack)
-        would corrupt nesting; instead the span id was reserved at
-        submit and the record is written whole at finalize, covering
-        submit -> terminal (queue wait + run).
+        cannot hold it; instead the span id was reserved at submit and
+        the record is written whole at finalize, covering submit ->
+        terminal (queue wait + run).
         """
         if job.queue_span_id is None or not tm.enabled:
             return
-        ended = job.ended_unix if job.ended_unix is not None else time.time()
         tm.record_span(SpanRecord(
             span_id=job.queue_span_id,
             parent_id=job.parent_span_id,
             name="serve.queue.job",
             category="serve",
             start_ns=tm.unix_to_ns(job.submitted_unix),
-            end_ns=tm.unix_to_ns(ended),
+            end_ns=tm.unix_to_ns(job.ended_unix),
             thread_id=threading.get_ident(),
             depth=0,
             args={

@@ -3,8 +3,9 @@
 Same construction as the live endpoint (:mod:`repro.obs.live`): a
 ``ThreadingHTTPServer`` on a background thread, handler threads kept
 trivially short.  Submissions and queries go straight through to the
-:class:`~repro.serve.queue.JobQueue` (whose asyncio loop owns all
-state); job *work* never runs on a handler thread.
+:class:`~repro.serve.queue.JobQueue` (one lock guards all its state;
+its own worker threads run the jobs); job *work* never runs on a
+handler thread.
 
 Routes::
 
@@ -115,8 +116,9 @@ class ServeDaemon:
 
     def _record_run(self, view: Mapping[str, Any]) -> None:
         """Append one terminal job (and its trace's spans so far) to the
-        run ledger.  Runs on the queue loop thread via ``on_terminal``;
-        the queue swallows exceptions so a bad disk never kills a job.
+        run ledger.  Runs under the queue lock via ``on_terminal``, so
+        ledger writes never interleave; the queue swallows exceptions so
+        a bad disk never kills a job.
         """
         if self.ledger is None:
             return
@@ -179,20 +181,18 @@ class ServeDaemon:
             else {"entries": 0, "bytes": 0, "root": None}
         )
         tm = telemetry.get()
-        hits = misses = 0.0
+        counters: dict[str, float] = {}
         if tm.enabled:
-            counters = tm.counters.counters
             for name, target in (
                 ("sampling.profile_cache.hits", "hits"),
                 ("sampling.profile_cache.misses", "misses"),
                 ("sampling.profile_cache.stores", "stores"),
                 ("sampling.profile_cache.evictions", "evictions"),
             ):
-                counter = counters.get(name)
-                stats[target] = counter.value if counter is not None else 0.0
-            hits = stats.get("hits", 0.0)
-            misses = stats.get("misses", 0.0)
-        stats["hit_rate"] = hits / (hits + misses) if hits + misses else 0.0
+                counters[name] = stats[target] = tm.counters.value(name)
+        stats["hit_rate"] = obs_metrics.hit_rates(counters).get(
+            "profile_cache", 0.0
+        )
         return stats
 
     def metrics_lines(self) -> list[str]:

@@ -486,6 +486,33 @@ def test_recent_events_merge_shipped_worker_events(hub):
     assert "merge.local" in names and "merge.shipped" in names
 
 
+def test_min_level_filters_shipped_worker_records(hub):
+    """The level floor applies to the workers' shipped WARN/ERROR tail
+    exactly as to the parent's own records."""
+    with obs_events.session() as log:
+        worker_log = obs_events.EventLog()
+        worker_log.warn("shipped.warn")
+        worker_log.error("shipped.error")
+        hub.apply_delta(
+            DeltaTracker("w6").capture(Telemetry(), log=worker_log)
+        )
+        log.warn("local.warn")
+        log.error("local.error")
+
+        def tail(min_level):
+            return sorted(
+                f"{e['name']}:{e['level']}"
+                for e in hub._recent_events(min_level=min_level)
+            )
+
+        assert tail("ERROR") == ["local.error:ERROR", "shipped.error:ERROR"]
+        everything = [
+            "local.error:ERROR", "local.warn:WARN",
+            "shipped.error:ERROR", "shipped.warn:WARN",
+        ]
+        assert tail("WARN") == tail("DEBUG") == everything
+
+
 def _recent_by_full_scan(hub, log, min_level):
     """The hub's event tail as it was read before ``EventLog.tail``:
     every local record at the level, merged with the shipped ones."""

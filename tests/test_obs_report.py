@@ -1,5 +1,7 @@
 """repro.obs.report: the self-contained HTML run report."""
 
+import re
+import time
 import types
 
 import numpy as np
@@ -10,6 +12,7 @@ from repro.cli import main
 from repro.faults.health import HEALTHY, ProfileHealth
 from repro.gpu.device import HD4000
 from repro.obs import events as obs_events
+from repro.obs import report
 from repro.obs.report import render_report, write_report
 from repro.simulation.detailed import DetailedGPUSimulator
 
@@ -138,6 +141,82 @@ def test_report_flags_partial_profiles(tm, log):
     html = render_report(tm, log=log, study=_fake_study(damaged))
     assert "lost_events:3" in html
     assert "partial" in html
+
+
+def _log_parts_by_full_scan(log):
+    """The run row's event count, the fault section and the event
+    section as rendered from full scans of ``log.records()`` (for a
+    registry without ``faults.*`` counters and no study)."""
+    records = log.records()
+    incidents = log.records(min_level="WARN")[-report.MAX_EVENT_ROWS:]
+    rows = [
+        (
+            time.strftime("%H:%M:%S", time.localtime(r.ts_unix)),
+            r.level,
+            r.name,
+            ", ".join(f"{k}={v}" for k, v in r.fields),
+        )
+        for r in incidents
+    ]
+    faults = report._section(
+        "Faults and health",
+        report._table(("time", "level", "event", "fields"), rows),
+    )
+    by_level = dict.fromkeys(obs_events.LEVELS, 0)
+    for record in records:
+        by_level[record.level] += 1
+    events = report._section(
+        "Event log",
+        report._table(
+            ("level", "events"),
+            [(level, report._fmt(n)) for level, n in by_level.items()],
+            "num",
+        ),
+        note=f"{len(records)} events total; "
+        "WARN/ERROR detail appears under Faults and health.",
+    )
+    return report._fmt(len(records)), faults, events
+
+
+def _log_parts(html):
+    count = re.search(r"<tr><td>events</td><td>([^<]*)</td></tr>", html)
+    sections = dict(
+        re.findall(r"<section><h2>([^<]*)</h2>(.*?</section>)", html)
+    )
+    return (
+        count.group(1),
+        "<section><h2>Faults and health</h2>"
+        + sections["Faults and health"],
+        "<section><h2>Event log</h2>" + sections["Event log"],
+    )
+
+
+def test_report_reads_kept_event_counts_not_every_record(
+    tm, monkeypatch
+):
+    """The run row, the fault section and the event section come from
+    the log's kept counts and tail, not a copy of every record, and
+    equal a full-scan rendering -- over a ring holding every level,
+    parked and dropped incidents and absorbed worker batches."""
+    from test_obs_events import _incident_batches
+
+    monkeypatch.setattr(report, "MAX_EVENT_ROWS", 40)
+    scanned = obs_events.EventLog(capacity=64)
+    log = obs_events.EventLog(capacity=64)
+    for batch in _incident_batches():
+        for target in (scanned, log):
+            target.absorb(batch)
+            target.warn("local.incident", n=len(batch))
+            target.debug("local.chatter")
+    assert log.dropped > 0 and len(log) > log.capacity
+    want = _log_parts_by_full_scan(scanned)
+    assert want[1].count("<tr>") == 41  # header + a cut WARN/ERROR tail
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the report read every retained record")
+
+    monkeypatch.setattr(obs_events.EventLog, "records", no_scan)
+    assert _log_parts(render_report(tm, log)) == want
 
 
 def test_write_report(tm, log, tmp_path):

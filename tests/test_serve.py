@@ -15,8 +15,10 @@ import collections
 import json
 import math
 import operator
+import os
 import re
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -331,7 +333,7 @@ def test_kept_counts_match_a_full_recount_at_every_step(make_queue,
     state_and_client = operator.attrgetter("state", "spec.client")
 
     def recount(step: str) -> None:
-        """Loop thread only: compare the kept counts with the jobs."""
+        """Under the queue lock: compare the kept counts with the jobs."""
         checks[step] += 1
         pairs = collections.Counter(
             map(state_and_client, queue._jobs.values())
@@ -353,8 +355,9 @@ def test_kept_counts_match_a_full_recount_at_every_step(make_queue,
         move(job, state)
         recount(state)
 
-    async def check_on_loop(step: str) -> None:
-        recount(step)
+    def check_under_lock(step: str) -> None:
+        with queue._cond:
+            recount(step)
 
     monkeypatch.setattr(queue, "_move", checked_move)
     rounds, per_round = 20, 100
@@ -365,12 +368,12 @@ def test_kept_counts_match_a_full_recount_at_every_step(make_queue,
             views.append(
                 queue.submit(_spec(seed=seed, client=f"c{seed % 5}"))
             )
-            queue._call(check_on_loop("submit"))
+            check_under_lock("submit")
         # Every fourth job: queued ones cancel at once, the running
         # ones (blocked on the gate) at their checkpoint.
         for view in views[::4]:
             queue.cancel(view["id"])
-            queue._call(check_on_loop("cancel"))
+            check_under_lock("cancel")
         gate.set()
         assert queue.join(timeout=10.0)
     seeds = range(rounds * per_round)
@@ -401,6 +404,172 @@ def test_stop_cancels_queued_work_and_rejects_new(make_queue):
     # stop() left no job in a non-terminal state (restart to inspect
     # is impossible; the views were finalized before the loop closed).
     assert queued is not None
+
+
+def test_stress_every_accepted_job_ends_once(make_queue):
+    """Six client threads submit with mixed priorities and clients,
+    cancel a fifth of their jobs and poll ``get``/``counts`` while a
+    seventh loops on ``join``; more workers than cores and a tiny
+    switch interval shake out lock-order and wake-up races.  Every
+    accepted job ends in exactly one terminal state, ``on_terminal``
+    fires once per job and never overlaps itself, the kept counts equal
+    a recount, and no worker thread outlives ``stop()``."""
+    before = set(threading.enumerate())
+    ended = collections.Counter()
+    overlaps = []
+    in_hook = threading.Event()
+
+    def on_terminal(view: dict) -> None:
+        if in_hook.is_set():
+            overlaps.append(view["id"])
+        in_hook.set()
+        ended[view["id"]] += 1
+        time.sleep(0)  # let a second caller in, were calls not serialized
+        in_hook.clear()
+
+    def work(spec: JobSpec, cancel: threading.Event) -> dict:
+        for _ in range(spec.seed % 4):
+            if cancel.is_set():
+                raise JobCancelled()
+            time.sleep(0.0005)
+        if spec.seed % 11 == 5:
+            raise RuntimeError("stress failure")
+        return {"seed": spec.seed}
+
+    workers = min((os.cpu_count() or 1) + 2, 32)
+    accepted: list[str] = []
+    errors: list[BaseException] = []
+    lock = threading.Lock()
+    done = threading.Event()
+
+    def client(n: int) -> None:
+        try:
+            for i in range(120):
+                seed = 1000 * n + i
+                spec = _spec(seed=seed, priority=(-5, 0, 10)[i % 3],
+                             client=f"c{(n + i) % 4}")
+                try:
+                    view = queue.submit(spec)
+                except QueueFull:
+                    time.sleep(0.001)
+                    continue
+                with lock:
+                    accepted.append(view["id"])
+                if i % 5 == 0:
+                    queue.cancel(view["id"])
+                assert queue.get(view["id"])["id"] == view["id"]
+                queue.counts()
+        except BaseException as exc:  # surfaced below
+            errors.append(exc)
+
+    def joiner() -> None:
+        while not done.is_set():
+            queue.join(timeout=0.005)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with telemetry.session() as tm:
+            queue = make_queue(work, workers=workers, capacity=16,
+                               on_terminal=on_terminal)
+            threads = [threading.Thread(target=client, args=(n,))
+                       for n in range(6)]
+            threads.append(threading.Thread(target=joiner))
+            for thread in threads:
+                thread.start()
+            for thread in threads[:-1]:
+                thread.join(timeout=60.0)
+            assert queue.join(timeout=30.0)
+            done.set()
+            threads[-1].join(timeout=5.0)
+            assert not errors, errors[:3]
+            views = queue.list()
+            assert [v["id"] for v in views] == sorted(accepted)
+            assert all(v["state"] in JobState.TERMINAL for v in views)
+            assert ended == collections.Counter(accepted) and not overlaps
+            by_state = collections.Counter(v["state"] for v in views)
+            counts = queue.counts()
+            assert {s: counts[s] for s in JobState.ALL} == {
+                s: by_state[s] for s in JobState.ALL
+            }
+            assert queue._in_flight == {}
+            assert tm.counter_value("serve.jobs_submitted") == len(accepted)
+            assert sum(
+                tm.counter_value(f"serve.jobs_{word}")
+                for word in ("completed", "failed", "cancelled")
+            ) == len(accepted)
+            assert by_state[JobState.CANCELLED] >= 1
+            queue.stop(timeout=5.0)
+    finally:
+        sys.setswitchinterval(old_interval)
+        done.set()
+    deadline = time.monotonic() + 2.0
+    while time.monotonic() < deadline:
+        left = [t for t in threading.enumerate()
+                if t not in before and t.name.startswith("repro-serve")]
+        if not left:
+            break
+        time.sleep(0.01)
+    assert not left, left
+
+
+def _stubborn_queue(make_queue, ended: list):
+    """A one-worker queue running a job that ignores its cancel token
+    until ``release`` is set, with a second job queued behind it."""
+    release, started = threading.Event(), threading.Event()
+
+    def stubborn(spec: JobSpec, cancel: threading.Event) -> dict:
+        started.set()
+        release.wait(timeout=10.0)
+        return {"seed": spec.seed}
+
+    queue = make_queue(stubborn, workers=1, capacity=4,
+                       on_terminal=ended.append)
+    running = queue.submit(_spec(seed=1))
+    queued = queue.submit(_spec(seed=2))
+    assert started.wait(timeout=5.0)
+    return queue, release, running["id"], queued["id"]
+
+
+def test_a_job_that_outlives_stop_ends_once_when_it_returns(make_queue):
+    """``stop()`` waits a bounded time; a job still running past it
+    reaches one terminal state, with one ``on_terminal`` call, when it
+    finally returns."""
+    ended: list[dict] = []
+    queue, release, running, queued = _stubborn_queue(make_queue, ended)
+    try:
+        started = time.monotonic()
+        queue.stop(timeout=0.2)
+        assert time.monotonic() - started < 5.0
+        assert [(v["id"], v["state"]) for v in ended] == [
+            (queued, JobState.CANCELLED)
+        ]
+    finally:
+        release.set()
+    deadline = time.monotonic() + 5.0
+    while len(ended) < 2 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    time.sleep(0.05)  # a second call for the same job would land here
+    assert [(v["id"], v["state"]) for v in ended] == [
+        (queued, JobState.CANCELLED), (running, JobState.DONE)
+    ]
+    assert ended[1]["result"] == {"seed": 1}
+
+
+def test_views_stay_readable_after_stop(make_queue):
+    ended: list[dict] = []
+    queue, release, running, queued = _stubborn_queue(make_queue, ended)
+    try:
+        queue.stop(timeout=0.2)
+        view = queue.get(running)
+        assert view["state"] == JobState.RUNNING and view["cancel_requested"]
+        assert [(v["id"], v["state"]) for v in queue.list()] == [
+            (running, JobState.RUNNING), (queued, JobState.CANCELLED)
+        ]
+    finally:
+        release.set()
+    assert queue.join(timeout=5.0)
+    assert queue.get(running)["state"] == JobState.DONE
 
 
 # -- HTTP endpoint (stubbed work) --------------------------------------------
