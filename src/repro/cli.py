@@ -694,7 +694,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
               "(list with 'gtpin suite', or use 'gtpin trace show "
               "<trace_id>')", file=sys.stderr)
         return 2
-    tm = telemetry.enable()
+    tm = telemetry.enable(calls=True)
     try:
         device = _device(args.device)
         app = load_app(args.app, scale=args.scale)

@@ -183,12 +183,12 @@ class OpenCLRuntime:
         if fi.enabled:
             fi.begin_scope(f"run/{program.name}/{trial_seed}")
 
-        executed_calls: list[APICall] = []
         dispatches: list[KernelDispatch] = []
         sync_indices: list[int] = []
-        sync_epoch = 0
+        enqueues = 0
 
         tm = telemetry.get()
+        call_span = (tm if tm.calls else telemetry.DISABLED).span
         with tm.span(
             "runtime.run", category="opencl",
             program=program.name, seed=trial_seed,
@@ -196,32 +196,28 @@ class OpenCLRuntime:
             for call_index, call in enumerate(program.calls):
                 for interceptor in self._interceptors:
                     interceptor(call)
-                executed_calls.append(call)
 
-                with tm.span(f"api.{call.name}", category="opencl"):
+                with call_span(f"api.{call.name}", category="opencl"):
                     if call.is_kernel_enqueue:
                         self._handle_enqueue(call, call_index)
-                        tm.inc("opencl.kernel_enqueues")
+                        enqueues += 1
                     elif call.is_synchronization:
+                        dispatches.extend(self._flush(len(sync_indices), rng))
                         sync_indices.append(call_index)
-                        dispatches.extend(self._flush(sync_epoch, rng))
-                        sync_epoch += 1
-                        tm.inc("opencl.sync_calls")
                     else:
                         self._handle_other(call, call_index)
 
             # Work enqueued after the last synchronization call still
             # executes (the process exit implies a finish); it belongs to
             # the trailing sync epoch.
-            dispatches.extend(self._flush(sync_epoch, rng))
-            tm.inc("opencl.api_calls", len(executed_calls))
+            dispatches.extend(self._flush(len(sync_indices), rng))
             run_span.annotate(
-                api_calls=len(executed_calls), dispatches=len(dispatches)
+                api_calls=len(program.calls), dispatches=len(dispatches)
             )
 
-        return ProgramRun(
+        run = ProgramRun(
             program_name=program.name,
-            api_calls=tuple(executed_calls),
+            api_calls=tuple(program.calls),
             dispatches=tuple(dispatches),
             sync_call_indices=tuple(sync_indices),
             trial_seed=trial_seed,
@@ -229,6 +225,15 @@ class OpenCLRuntime:
             fault_events=tuple(self._fault_events),
             host_writes=tuple(self._host_writes),
         )
+        if tm.enabled:
+            # Once per run, not per call or dispatch: ``gtpin serve``
+            # always captures, and per-event counts slowed cold profiles.
+            tm.inc("opencl.api_calls", len(run.api_calls))
+            tm.inc("opencl.kernel_enqueues", enqueues)
+            tm.inc("opencl.sync_calls", len(run.sync_call_indices))
+            tm.inc("opencl.dispatches", len(run.dispatches))
+            tm.inc("opencl.instructions", run.total_instructions)
+        return run
 
     # -- handlers ------------------------------------------------------------
 
@@ -473,8 +478,6 @@ class OpenCLRuntime:
                     continue
                 span.annotate(instructions=dispatch.instruction_count)
             if tm.enabled:
-                tm.inc("opencl.dispatches")
-                tm.inc("opencl.instructions", dispatch.instruction_count)
                 tm.observe_hist(
                     "opencl.dispatch_seconds", span.duration_seconds, "s"
                 )

@@ -55,7 +55,9 @@ class Telemetry:
 
     enabled = True
 
-    def __init__(self) -> None:
+    def __init__(self, calls: bool = False) -> None:
+        #: Span each OpenCL API call too (the timeline ``gtpin trace`` shows).
+        self.calls = calls
         #: perf_counter origin; exported timestamps are relative to this.
         self.time_origin_ns = time.perf_counter_ns()
         #: Wall-clock time the registry was created (for trace metadata).
@@ -149,8 +151,8 @@ class Telemetry:
         )
 
     def spans_for_trace(self, trace_id: str) -> list[SpanRecord]:
-        """Completed spans belonging to one trace, completion order."""
-        return [s for s in self._collector.records() if s.trace_id == trace_id]
+        """One trace's completed spans, completion order (none for ``""``)."""
+        return self._collector.trace_records(trace_id)
 
     # -- counters ------------------------------------------------------------
 
@@ -189,6 +191,7 @@ class DisabledTelemetry:
     constant-work call; ``span`` never allocates."""
 
     enabled = False
+    calls = False
 
     def span(self, name: str, category: str = "", **args: Any) -> NullSpan:
         return NULL_SPAN
@@ -264,10 +267,10 @@ def is_enabled() -> bool:
     return _active.enabled
 
 
-def enable() -> Telemetry:
+def enable(calls: bool = False) -> Telemetry:
     """Activate a fresh capturing registry and return it."""
     global _active
-    _active = Telemetry()
+    _active = Telemetry(calls=calls)
     return _active
 
 

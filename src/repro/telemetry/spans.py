@@ -79,6 +79,9 @@ class SpanCollector:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._records: list[SpanRecord] = []
+        # The same records by trace id, so one trace's spans are found
+        # without a scan of every span the process has kept.
+        self._by_trace: dict[str, list[SpanRecord]] = {}
         # Span ids are namespaced by a per-collector random high word:
         # id = (random 31 bits << 32) | sequential low word.  Two
         # registries -- two *processes* -- therefore cannot allocate
@@ -114,12 +117,19 @@ class SpanCollector:
     def record(self, record: SpanRecord) -> None:
         with self._lock:
             self._records.append(record)
+            if record.trace_id:
+                self._by_trace.setdefault(record.trace_id, []).append(record)
             self._open.pop(record.span_id, None)
 
     def records(self) -> list[SpanRecord]:
         """Completed spans in completion order."""
         with self._lock:
             return list(self._records)
+
+    def trace_records(self, trace_id: str) -> list[SpanRecord]:
+        """One trace's completed spans, in completion order."""
+        with self._lock:
+            return list(self._by_trace.get(trace_id, ()))
 
     def __len__(self) -> int:
         with self._lock:

@@ -802,6 +802,7 @@ def test_submit_with_retry_sleeps_the_advertised_retry_after(monkeypatch):
         )
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=5)
     assert view["id"] == "j-1"
     # Both 429s carried Retry-After: 7 -- never the 0.25s backoff.

@@ -306,6 +306,8 @@ def test_counters_summary_lists_values():
 
 def test_profiling_stack_emits_spans_and_counters():
     from repro.gtpin.profiler import profile
+    from repro.opencl.api import CallCategory
+    from repro.sampling import profile_workload
     from repro.workloads import load_app
 
     app = load_app("cb-gaussian-image", scale=0.5)
@@ -320,6 +322,53 @@ def test_profiling_stack_emits_spans_and_counters():
         assert tm.counter_value("gtpin.trace_buffer.records") > 0
         assert tm.counter_value("gtpin.trace_buffer.drains") >= 1
         assert tm.counter_value("gtpin.instrumented_instructions") > 0
+
+    # A cold profile runs the host program twice (CoFluent record, then
+    # GT-Pin profile).  Its spans are stages and dispatches; API calls
+    # are only counted, per category.
+    calls = app.host_program.calls
+    counts = app.host_program.category_counts()
+    with telemetry.session() as tm:
+        profile_workload(app, trial_seed=5)
+        spans = tm.spans()
+        assert not [s for s in spans if s.name.startswith("api.")]
+        dispatches = tm.counter_value("opencl.dispatches")
+        assert dispatches > 0
+        assert len(spans) <= dispatches + 16
+        assert tm.counter_value("opencl.api_calls") == 2 * len(calls)
+        assert tm.counter_value("opencl.kernel_enqueues") == (
+            2 * counts[CallCategory.KERNEL]
+        )
+        assert tm.counter_value("opencl.sync_calls") == (
+            2 * counts[CallCategory.SYNCHRONIZATION]
+        )
+
+    # The registry ``gtpin trace`` uses brings back the per-call timeline:
+    # a span per API call under runtime.run, and each flush's dispatches
+    # under the sync call that flushed them.
+    tm = telemetry.enable(calls=True)
+    try:
+        profile_workload(app, trial_seed=5)
+    finally:
+        telemetry.disable()
+    spans = tm.spans()
+    by_id = {s.span_id: s for s in spans}
+    api = [s for s in spans if s.name.startswith("api.")]
+    assert len(api) == 2 * len(calls)
+    assert {by_id[s.parent_id].name for s in api} == {"runtime.run"}
+    sync_names = {f"api.{c.name}" for c in calls if c.is_synchronization}
+    kernels = [s for s in spans if s.name.startswith("kernel.")]
+    assert len(kernels) == dispatches
+    for span in kernels:
+        parent = by_id[span.parent_id]
+        if parent.name == "runtime.run":
+            # Work left after the last sync flushes at the run's end.
+            assert span.args["sync_epoch"] == (
+                counts[CallCategory.SYNCHRONIZATION]
+            )
+        else:
+            assert parent.name in sync_names
+            assert by_id[parent.parent_id].name == "runtime.run"
 
 
 def test_disabled_profiling_identical_results():

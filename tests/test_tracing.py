@@ -147,6 +147,52 @@ def test_cross_registry_parent_edges_survive_without_remapping():
     assert indent(task_line) > indent(job_line)
 
 
+def test_spans_for_trace_equals_a_scan_in_completion_order():
+    # Interleave two traces, untraced spans, a synthesized span and a
+    # worker's merged spans: the per-trace index must hold exactly what
+    # a scan of every retained span finds, in the same order.
+    from repro.telemetry.snapshot import DeltaTracker, merge_delta
+
+    tm = Telemetry()
+    ctx_a = trace_context.TraceContext(trace_context.new_trace_id(), 7)
+    ctx_b = trace_context.TraceContext(trace_context.new_trace_id(), 8)
+    worker = Telemetry()
+    for round_ in range(3):
+        with tm.span("untraced"):
+            pass
+        for ctx in (ctx_a, ctx_b):
+            with trace_context.activate(ctx):
+                with tm.span("job", round=round_):
+                    with tm.span("stage"):
+                        pass
+                with worker.span("worker.task", round=round_):
+                    pass
+    tm.record_span(SpanRecord(
+        span_id=tm.allocate_span_id(), parent_id=7, name="serve.queue",
+        category="serve", start_ns=0, end_ns=1, thread_id=1, depth=0,
+        args={}, trace_id=ctx_a.trace_id,
+    ))
+    merge_delta(tm, DeltaTracker("w").capture(worker, final=True))
+    with tm.span("untraced.last"):
+        pass
+
+    everything = tm.spans()
+    for ctx in (ctx_a, ctx_b):
+        indexed = tm.spans_for_trace(ctx.trace_id)
+        assert indexed == [
+            s for s in everything if s.trace_id == ctx.trace_id
+        ]
+        assert [s.name for s in indexed].count("worker.task") == 3
+    assert "serve.queue" in {
+        s.name for s in tm.spans_for_trace(ctx_a.trace_id)
+    }
+    assert tm.spans_for_trace(trace_context.new_trace_id()) == []
+    assert tm.spans_for_trace("") == []
+    # A returned list is a copy: appending to it leaves the index alone.
+    tm.spans_for_trace(ctx_b.trace_id).append(everything[0])
+    assert len(tm.spans_for_trace(ctx_b.trace_id)) == 9
+
+
 # -- the run ledger ----------------------------------------------------------
 
 
