@@ -110,7 +110,7 @@ def measure_overhead(
 # Section III-C measures GT-Pin's overhead on the profiled application;
 # this block applies the same discipline to the reproduction's *own*
 # observability stack.  Every instrumentation hook (span, counter,
-# gauge, histogram, event emission, fault check, trace-buffer flush)
+# histogram, event emission, fault check, trace-buffer flush)
 # keeps an exact operation count; multiplying those counts by calibrated
 # per-operation unit costs yields a per-site attribution of where the
 # enabled-observability walltime went.  The estimate never reconciles
@@ -123,7 +123,6 @@ def measure_overhead(
 OBSERVATION_SITES: tuple[str, ...] = (
     "telemetry.span",
     "telemetry.counter",
-    "telemetry.gauge",
     "telemetry.histogram",
     "events.emit",
     "faults.check",
@@ -305,9 +304,6 @@ def calibrate_unit_costs(scale: int = 1) -> dict[str, float]:
         costs["telemetry.counter"] = _time_loop(
             lambda: tm.inc("calibration.counter"), n
         )
-        costs["telemetry.gauge"] = _time_loop(
-            lambda: tm.observe("calibration.gauge", 1.5), n
-        )
         costs["telemetry.histogram"] = _time_loop(
             lambda: tm.observe_hist("calibration.hist", 1.5, "s"), n
         )
@@ -364,7 +360,7 @@ def estimate_observation_costs(
     """Ops x unit-cost attribution from live registry state.
 
     Operation counts are the registries' own exact tallies
-    (``Counter.ops``, gauge/histogram observation counts, completed
+    (``Counter.ops``, histogram observation counts, completed
     spans, emitted events including ring-dropped ones, fault draws,
     trace-buffer drains), all of which survive cross-process snapshot
     merges -- so the attribution covers worker processes too.
@@ -380,9 +376,6 @@ def estimate_observation_costs(
         ops["telemetry.span"] = len(tm.spans())
         ops["telemetry.counter"] = sum(
             c.ops for c in tm.counters.counters.values()
-        )
-        ops["telemetry.gauge"] = sum(
-            g.count for g in tm.counters.gauges.values()
         )
         ops["telemetry.histogram"] = sum(
             h.count for h in tm.counters.histograms.values()

@@ -142,6 +142,19 @@ class TraceBuffer:
         self.lost_bytes += sum(r.record_bytes for r in lost)
         return kept
 
+    def _flush(self, tm) -> None:
+        """Move the resident records out to the CPU side.
+
+        The records and bytes written since the last flush are counted
+        here, once per flush, before ``trace.truncate`` can lose any.
+        """
+        if tm.enabled and self._records:
+            tm.inc("gtpin.trace_buffer.records", len(self._records))
+            tm.inc("gtpin.trace_buffer.bytes", self._resident_bytes)
+        self._drained.extend(self._truncate_flush(self._records))
+        self._records = []
+        self._resident_bytes = 0
+
     def write(self, record: TraceRecord) -> None:
         """GPU-side append of one invocation's instrumentation output."""
         record = self._apply_corruption(record)
@@ -149,9 +162,7 @@ class TraceBuffer:
         tm = telemetry.get()
         if self._resident_bytes + size > self.capacity_bytes and self._records:
             # Buffer full: the CPU drains mid-run (costed as an overflow).
-            self._drained.extend(self._truncate_flush(self._records))
-            self._records.clear()
-            self._resident_bytes = 0
+            self._flush(tm)
             if self._oversized_pending:
                 # This drain was already counted when the oversized
                 # record was admitted.
@@ -172,19 +183,14 @@ class TraceBuffer:
             self._oversized_pending = True
             tm.inc("gtpin.trace_buffer.overflow_drains")
         if tm.enabled:  # hot path: one attribute check when capture is off
-            tm.inc("gtpin.trace_buffer.records")
-            tm.inc("gtpin.trace_buffer.bytes", size)
-            tm.observe("gtpin.trace_buffer.resident_bytes", self._resident_bytes)
             tm.observe_hist("gtpin.trace_buffer.record_bytes", size, "B")
 
     def drain(self) -> list[TraceRecord]:
         """CPU-side read-out: all records so far, in write order."""
         tm = telemetry.get()
         with tm.span("gtpin.trace_buffer.drain", category="gtpin") as span:
-            out = self._drained + self._truncate_flush(self._records)
-            self._drained = []
-            self._records = []
-            self._resident_bytes = 0
+            self._flush(tm)
+            out, self._drained = self._drained, []
             # An explicit drain empties the buffer, so the oversized
             # record's pre-counted implicit drain will never happen.
             self._oversized_pending = False

@@ -43,7 +43,6 @@ from repro.telemetry.snapshot import (
     EVENT_TAIL,
     DeltaAccumulator,
     TelemetryDelta,
-    gauge_envelope,
 )
 
 #: Port environment control (the CLI flag wins).
@@ -224,41 +223,30 @@ class LiveHub:
 
     # -- merged view ---------------------------------------------------------
 
-    def _merged(self) -> tuple[dict[str, float], dict[str, Any], dict[str, Histogram]]:
+    def _merged(self) -> tuple[dict[str, float], dict[str, Histogram]]:
         """Parent registry + unretired in-flight worker state."""
         tm = telemetry.get()
         counters: dict[str, float] = {}
-        gauges: dict[str, Any] = {}
         histograms: dict[str, Histogram] = {}
         if tm.enabled:
             for name, counter in list(tm.counters.counters.items()):
                 counters[name] = counter.value
-            for name, gauge in list(tm.counters.gauges.items()):
-                gauges[name] = gauge
             for name, hist in list(tm.counters.histograms.items()):
                 clone = Histogram(name, hist.unit)
                 clone.merge(hist)
                 histograms[name] = clone
         with self._lock:
             live_counters = self.accumulator.counter_totals()
-            live_gauges = self.accumulator.gauge_totals()
             live_hists = self.accumulator.histogram_totals()
         for name, value in live_counters.items():
             counters[name] = counters.get(name, 0.0) + value
-        for name, snapshot in live_gauges.items():
-            held = gauges.get(name)
-            gauges[name] = (
-                snapshot
-                if held is None
-                else gauge_envelope(held, snapshot, snapshot.last)
-            )
         for name, live_hist in live_hists.items():
             held = histograms.get(name)
             if held is None:
                 histograms[name] = live_hist
             else:
                 held.merge(live_hist)
-        return counters, gauges, histograms
+        return counters, histograms
 
     def _overhead_lines(self, counters_unused: dict[str, float]) -> list[str]:
         """Self-overhead attribution as labelled gauges (lazy import:
@@ -288,7 +276,7 @@ class LiveHub:
         ) + obs_metrics.render_labelled("self_overhead_operations", ops_rows)
 
     def metrics_text(self) -> str:
-        counters, gauges, histograms = self._merged()
+        counters, histograms = self._merged()
         uptime = max(time.time() - self.started_unix, 1e-9)
         instructions = sum(
             counters.get(name, 0.0) for name in INSTRUCTION_COUNTERS
@@ -306,9 +294,7 @@ class LiveHub:
         extra += obs_metrics.render_gauge("events_dropped", log.dropped)
         extra += self._overhead_lines(counters)
         extra += self._section_metrics()
-        return obs_metrics.exposition(
-            counters, gauges, histograms, extra_lines=extra
-        )
+        return obs_metrics.exposition(counters, histograms, extra_lines=extra)
 
     # -- health document -----------------------------------------------------
 
@@ -353,7 +339,7 @@ class LiveHub:
         return [r.to_json() for r in ordered[-EVENT_TAIL:]]
 
     def health_doc(self) -> dict[str, Any]:
-        counters, _, _ = self._merged()
+        counters, _ = self._merged()
         now = time.time()
         uptime = max(now - self.started_unix, 1e-9)
         done, total, failed = self._task_counts()

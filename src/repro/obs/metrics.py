@@ -59,20 +59,6 @@ def render_gauge(name: str, value: float) -> list[str]:
     return [f"# TYPE {metric} gauge", f"{metric} {_fmt(value)}"]
 
 
-def render_gauge_summary(
-    name: str, last: float, count: int, total: float,
-    minimum: float, maximum: float,
-) -> list[str]:
-    """A value gauge with its summary statistics as labelled series."""
-    metric = metric_name(name)
-    out = [f"# TYPE {metric} gauge", f"{metric} {_fmt(last)}"]
-    for stat, value in (
-        ("count", count), ("sum", total), ("min", minimum), ("max", maximum),
-    ):
-        out.append(f'{metric}_stat{{stat="{stat}"}} {_fmt(value)}')
-    return out
-
-
 def render_histogram(hist: Histogram) -> list[str]:
     """Native Prometheus histogram shape from the log-bucketed state."""
     metric = metric_name(hist.name)
@@ -141,30 +127,13 @@ def hit_rates(counters: Mapping[str, float]) -> dict[str, float]:
 
 def exposition(
     counters: Mapping[str, float],
-    gauges: Mapping[str, Any] | None = None,
     histograms: Mapping[str, Histogram] | None = None,
     extra_lines: Iterable[str] = (),
 ) -> str:
-    """The full ``/metrics`` document, terminated by a newline.
-
-    ``gauges`` values may be plain floats or objects with
-    ``last/count/total/minimum/maximum`` attributes (live gauges and
-    gauge snapshots both qualify).
-    """
+    """The full ``/metrics`` document, terminated by a newline."""
     lines: list[str] = []
     for name in sorted(counters):
         lines.extend(render_counter(name, counters[name]))
-    for name in sorted(gauges or {}):
-        gauge = (gauges or {})[name]
-        if isinstance(gauge, (int, float)):
-            lines.extend(render_gauge(name, float(gauge)))
-        else:
-            lines.extend(
-                render_gauge_summary(
-                    name, gauge.last, gauge.count, gauge.total,
-                    gauge.minimum, gauge.maximum,
-                )
-            )
     for name in sorted(histograms or {}):
         lines.extend(render_histogram((histograms or {})[name]))
     lines.extend(extra_lines)
@@ -174,9 +143,8 @@ def exposition(
 def parse_exposition(text: str) -> dict[str, float]:
     """Parse an exposition document back to ``{series: value}``.
 
-    Test/CLI helper (``gtpin top`` falls back to it when the health
-    document lacks a figure); labelled series key as
-    ``name{label="..."}`` verbatim.
+    A test helper (``gtpin top`` reads only ``/health``); labelled
+    series key as ``name{label="..."}`` verbatim.
     """
     out: dict[str, float] = {}
     for line in text.splitlines():

@@ -1,7 +1,7 @@
 """Self-contained HTML run reports.
 
 One call turns a run's observability state -- the telemetry registry
-(spans, counters, gauges, histograms), the structured event log, and
+(spans, counters, histograms), the structured event log, and
 optionally a full :class:`~repro.analysis.study.StudyResults` -- into a
 single HTML file with zero external references: stdlib templating
 (f-strings + ``html.escape``), inline CSS, and an inline-SVG span
@@ -10,7 +10,7 @@ attachment, or ``file://``.
 
 Sections, in order: run metadata, span-tree timeline, per-workload
 Table I statistics (when a study is supplied), cache/memo hit rates,
-histogram quantiles, counters and gauges, fault & health summary,
+histogram quantiles, counters, fault & health summary,
 and the WARN/ERROR event tail.
 """
 
@@ -221,37 +221,16 @@ def _histogram_section(tm: Telemetry) -> str:
 
 
 def _counters_section(tm: Telemetry) -> str:
-    counters = tm.counters
-    parts: list[str] = []
-    if counters.counters:
+    counters = tm.counters.counters
+    if not counters:
+        body = '<p class="note">(no counters recorded)</p>'
+    else:
         rows = [
-            (name, unit_for(name), _fmt(counters.counters[name].value))
-            for name in sorted(counters.counters)
+            (name, unit_for(name), _fmt(counters[name].value))
+            for name in sorted(counters)
         ]
-        parts.append(_table(("counter", "unit", "value"), rows, "num"))
-    if counters.gauges:
-        rows = [
-            (
-                name,
-                unit_for(name),
-                _fmt(g.count),
-                _fmt(g.last),
-                _fmt(g.mean),
-                _fmt(g.minimum),
-                _fmt(g.maximum),
-            )
-            for name, g in sorted(counters.gauges.items())
-        ]
-        parts.append(
-            _table(
-                ("gauge", "unit", "n", "last", "mean", "min", "max"),
-                rows,
-                "num",
-            )
-        )
-    if not parts:
-        parts.append('<p class="note">(no counters recorded)</p>')
-    return _section("Counters and gauges", "".join(parts))
+        body = _table(("counter", "unit", "value"), rows, "num")
+    return _section("Counters", body)
 
 
 def _hit_rates_section(tm: Telemetry) -> str:
@@ -497,7 +476,6 @@ def render_report(
          time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(time.time()))),
         ("spans", _fmt(len(spans))),
         ("counters", _fmt(len(tm.counters.counters))),
-        ("gauges", _fmt(len(tm.counters.gauges))),
         ("histograms", _fmt(len(tm.counters.histograms))),
         ("events", _fmt(len(log))),
     ]

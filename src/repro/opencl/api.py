@@ -73,13 +73,17 @@ OTHER_CALLS: tuple[str, ...] = (
 )
 
 
+#: Category of every kernel and synchronization call; the rest are OTHER.
+_CATEGORIES: dict[str, CallCategory] = {
+    KERNEL_ENQUEUE: CallCategory.KERNEL,
+    PAPER_KERNEL_ENQUEUE_SPELLING: CallCategory.KERNEL,
+    **dict.fromkeys(SYNCHRONIZATION_CALLS, CallCategory.SYNCHRONIZATION),
+}
+
+
 def categorize(call_name: str) -> CallCategory:
     """Map a call name onto Figure 3a's three categories."""
-    if call_name in (KERNEL_ENQUEUE, PAPER_KERNEL_ENQUEUE_SPELLING):
-        return CallCategory.KERNEL
-    if call_name in SYNCHRONIZATION_CALLS:
-        return CallCategory.SYNCHRONIZATION
-    return CallCategory.OTHER
+    return _CATEGORIES.get(call_name, CallCategory.OTHER)
 
 
 def is_synchronization(call_name: str) -> bool:

@@ -461,7 +461,6 @@ class OpenCLRuntime:
         """Execute every queued enqueue; stamp queue/sync bookkeeping."""
         tm = telemetry.get()
         if tm.enabled:
-            tm.observe("opencl.queue_depth", len(self._queue))
             tm.observe_hist(
                 "opencl.flush_batch_kernels", len(self._queue), "kernels"
             )

@@ -6,8 +6,9 @@ package is the reproduction's equivalent introspection layer:
 
 * :mod:`~repro.telemetry.spans` -- hierarchical wall-time spans with a
   context-manager/decorator API and a thread-local span stack;
-* :mod:`~repro.telemetry.counters` -- named monotonic counters and
-  value gauges with cheap ``inc``/``observe``;
+* :mod:`~repro.telemetry.counters` -- named monotonic counters with a
+  cheap ``inc``, and :mod:`~repro.telemetry.histograms` -- log-bucketed
+  distributions with exemplars;
 * :mod:`~repro.telemetry.registry` -- the process-global registry;
   a no-op singleton when disabled (the default), so instrumented hot
   paths cost one attribute check when capture is off;
@@ -25,7 +26,7 @@ from repro.telemetry.context import (
     new_trace_id,
     parse_traceparent,
 )
-from repro.telemetry.counters import Counter, CounterSet, Gauge, Sample
+from repro.telemetry.counters import Counter, CounterSet, Sample
 from repro.telemetry.export import (
     chrome_trace_events,
     counters_summary,
@@ -61,7 +62,6 @@ from repro.telemetry.snapshot import (
     CounterSnapshot,
     DeltaAccumulator,
     DeltaTracker,
-    GaugeSnapshot,
     TelemetryDelta,
     merge_delta,
 )
@@ -85,8 +85,6 @@ __all__ = [
     "DisabledTelemetry",
     "Exemplar",
     "GROWTH",
-    "Gauge",
-    "GaugeSnapshot",
     "Histogram",
     "HistogramSnapshot",
     "NULL_SPAN",

@@ -1,13 +1,13 @@
-"""Named monotonic counters and value gauges.
+"""Named monotonic counters.
 
 Counters accumulate (``inc``): API calls dispatched, trace-buffer
-records written, instructions stepped.  Gauges record point-in-time
-observations (``observe``): queue depths, buffer residency, per-phase
-ratios.  Both keep a bounded timestamped sample trail so the exporter
-can emit Chrome ``"C"`` (counter) events that plot as area charts on
-the trace timeline; when the trail fills up it is thinned (every other
-sample dropped) rather than grown, so a long run's memory stays flat
-while the counter *values* stay exact.
+records written, instructions stepped.  Each keeps a bounded
+timestamped sample trail so the exporter can emit Chrome ``"C"``
+(counter) events that plot as area charts on the trace timeline; when
+the trail fills up it is thinned (every other sample dropped) rather
+than grown, so a long run's memory stays flat while the counter
+*values* stay exact.  Distributions go to
+:class:`~repro.telemetry.histograms.Histogram`.
 """
 
 from __future__ import annotations
@@ -24,35 +24,13 @@ MAX_SAMPLES = 8192
 
 @dataclasses.dataclass(frozen=True)
 class Sample:
-    """One timestamped counter/gauge reading."""
+    """One timestamped counter reading."""
 
     ts_ns: int
     value: float
 
 
-class _Series:
-    """Shared sample-trail machinery."""
-
-    __slots__ = ("name", "samples", "_stride", "_skipped")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.samples: list[Sample] = []
-        self._stride = 1
-        self._skipped = 0
-
-    def _sample(self, value: float) -> None:
-        self._skipped += 1
-        if self._skipped < self._stride:
-            return
-        self._skipped = 0
-        if len(self.samples) >= MAX_SAMPLES:
-            del self.samples[::2]
-            self._stride *= 2
-        self.samples.append(Sample(time.perf_counter_ns(), value))
-
-
-class Counter(_Series):
+class Counter:
     """A monotonically-increasing named total.
 
     ``ops`` tallies how many times ``inc`` ran (the *value* can grow by
@@ -61,58 +39,38 @@ class Counter(_Series):
     to our own instrumentation).
     """
 
-    __slots__ = ("value", "ops")
+    __slots__ = ("name", "samples", "_stride", "_skipped", "value", "ops")
 
     def __init__(self, name: str) -> None:
-        super().__init__(name)
+        self.name = name
+        self.samples: list[Sample] = []
+        self._stride = 1
+        self._skipped = 0
         self.value = 0.0
         self.ops = 0
 
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
         self.ops += 1
-        self._sample(self.value)
-
-
-class Gauge(_Series):
-    """A named value observed over time; keeps summary statistics."""
-
-    __slots__ = ("last", "count", "total", "minimum", "maximum")
-
-    def __init__(self, name: str) -> None:
-        super().__init__(name)
-        self.last = 0.0
-        self.count = 0
-        self.total = 0.0
-        self.minimum = float("inf")
-        self.maximum = float("-inf")
-
-    def observe(self, value: float) -> None:
-        self.last = value
-        self.count += 1
-        self.total += value
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-        self._sample(value)
-
-    @property
-    def mean(self) -> float:
-        if self.count == 0:
-            return 0.0
-        return self.total / self.count
+        self._skipped += 1
+        if self._skipped < self._stride:
+            return
+        self._skipped = 0
+        if len(self.samples) >= MAX_SAMPLES:
+            del self.samples[::2]
+            self._stride *= 2
+        self.samples.append(Sample(time.perf_counter_ns(), self.value))
 
 
 class CounterSet:
-    """All counters and gauges of one telemetry registry; thread-safe
-    creation (inc/observe on an existing series is GIL-atomic enough
-    for profiling purposes -- these are diagnostics, not ledgers)."""
+    """All counters and histograms of one telemetry registry;
+    thread-safe creation (inc/observe on an existing series is
+    GIL-atomic enough for profiling purposes -- these are diagnostics,
+    not ledgers)."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self.counters: dict[str, Counter] = {}
-        self.gauges: dict[str, Gauge] = {}
         self.histograms: dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
@@ -121,13 +79,6 @@ class CounterSet:
         except KeyError:
             with self._lock:
                 return self.counters.setdefault(name, Counter(name))
-
-    def gauge(self, name: str) -> Gauge:
-        try:
-            return self.gauges[name]
-        except KeyError:
-            with self._lock:
-                return self.gauges.setdefault(name, Gauge(name))
 
     def histogram(self, name: str, unit: str = "") -> Histogram:
         try:
@@ -144,4 +95,4 @@ class CounterSet:
         return counter.value if counter is not None else 0.0
 
     def __len__(self) -> int:
-        return len(self.counters) + len(self.gauges) + len(self.histograms)
+        return len(self.counters) + len(self.histograms)

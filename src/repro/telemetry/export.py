@@ -30,35 +30,38 @@ def _tid_map(spans: list[SpanRecord]) -> dict[int, int]:
     return mapping
 
 
+def _span_events(
+    spans: list[SpanRecord], origin: int, pid: int, process_name: str
+) -> list[dict[str, Any]]:
+    """The process-name event, then one ``"ph": "X"`` event per span
+    with ``ts`` relative to ``origin``."""
+    tids = _tid_map(spans)
+    events: list[dict[str, Any]] = [{
+        "name": "process_name",
+        "ph": "M",
+        "pid": pid,
+        "tid": 0,
+        "args": {"name": process_name},
+    }]
+    for span in sorted(spans, key=lambda s: (s.start_ns, s.depth)):
+        events.append({
+            "name": span.name,
+            "cat": span.category or "repro",
+            "ph": "X",
+            "ts": (span.start_ns - origin) / 1e3,
+            "dur": span.duration_ns / 1e3,
+            "pid": pid,
+            "tid": tids.get(span.thread_id, 0),
+            "args": _jsonable(span.args),
+        })
+    return events
+
+
 def chrome_trace_events(telemetry: Telemetry) -> list[dict[str, Any]]:
     """The ``traceEvents`` list for one registry."""
     origin = telemetry.time_origin_ns
     pid = os.getpid()
-    spans = telemetry.spans()
-    tids = _tid_map(spans)
-
-    events: list[dict[str, Any]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": 0,
-            "args": {"name": "gtpin-repro"},
-        }
-    ]
-    for span in sorted(spans, key=lambda s: (s.start_ns, s.depth)):
-        events.append(
-            {
-                "name": span.name,
-                "cat": span.category or "repro",
-                "ph": "X",
-                "ts": (span.start_ns - origin) / 1e3,
-                "dur": span.duration_ns / 1e3,
-                "pid": pid,
-                "tid": tids.get(span.thread_id, 0),
-                "args": _jsonable(span.args),
-            }
-        )
+    events = _span_events(telemetry.spans(), origin, pid, "gtpin-repro")
     for counter in telemetry.counters.counters.values():
         for sample in counter.samples:
             events.append(
@@ -70,19 +73,6 @@ def chrome_trace_events(telemetry: Telemetry) -> list[dict[str, Any]]:
                     "pid": pid,
                     "tid": 0,
                     "args": {counter.name.rpartition(".")[2]: sample.value},
-                }
-            )
-    for gauge in telemetry.counters.gauges.values():
-        for sample in gauge.samples:
-            events.append(
-                {
-                    "name": gauge.name,
-                    "cat": "gauge",
-                    "ph": "C",
-                    "ts": (sample.ts_ns - origin) / 1e3,
-                    "pid": pid,
-                    "tid": 0,
-                    "args": {gauge.name.rpartition(".")[2]: sample.value},
                 }
             )
     return events
@@ -107,7 +97,8 @@ def write_chrome_trace(telemetry: Telemetry, path: str) -> None:
 
 
 def jsonl_events(telemetry: Telemetry) -> list[dict[str, Any]]:
-    """Flat structured event log: spans, then counter/gauge summaries."""
+    """Flat structured event log: spans, then counter and histogram
+    summaries."""
     origin = telemetry.time_origin_ns
     events: list[dict[str, Any]] = []
     for span in sorted(telemetry.spans(), key=lambda s: s.start_ns):
@@ -133,18 +124,6 @@ def jsonl_events(telemetry: Telemetry) -> list[dict[str, Any]]:
                 "name": counter.name,
                 "value": counter.value,
                 "samples": len(counter.samples),
-            }
-        )
-    for gauge in telemetry.counters.gauges.values():
-        events.append(
-            {
-                "type": "gauge",
-                "name": gauge.name,
-                "last": gauge.last,
-                "count": gauge.count,
-                "mean": gauge.mean,
-                "min": gauge.minimum,
-                "max": gauge.maximum,
             }
         )
     for hist in telemetry.counters.histograms.values():
@@ -262,28 +241,9 @@ def trace_chrome_trace(
     (synthetic negative thread ids) keep their own rows.
     """
     origin = min(span.start_ns for span in spans) if spans else 0
-    tids = _tid_map(spans)
-    events: list[dict[str, Any]] = [{
-        "name": "process_name",
-        "ph": "M",
-        "pid": 0,
-        "tid": 0,
-        "args": {"name": f"gtpin trace {trace_id}" if trace_id else
-                 "gtpin trace"},
-    }]
-    for span in sorted(spans, key=lambda s: (s.start_ns, s.depth)):
-        events.append({
-            "name": span.name,
-            "cat": span.category or "repro",
-            "ph": "X",
-            "ts": (span.start_ns - origin) / 1e3,
-            "dur": span.duration_ns / 1e3,
-            "pid": 0,
-            "tid": tids.get(span.thread_id, 0),
-            "args": _jsonable(span.args),
-        })
+    name = f"gtpin trace {trace_id}" if trace_id else "gtpin trace"
     return {
-        "traceEvents": events,
+        "traceEvents": _span_events(spans, origin, 0, name),
         "displayTimeUnit": "ms",
         "otherData": {"tool": "gtpin-repro ledger", "trace_id": trace_id},
     }
@@ -311,26 +271,18 @@ def unit_for(name: str, declared: str = "") -> str:
 
 
 def counters_summary(telemetry: Telemetry) -> str:
-    """Plain-text table of final counter values, gauge statistics, and
-    histogram quantiles.  Every section is name-sorted and unit-tagged
-    so the output diffs cleanly across runs."""
+    """Plain-text table of final counter values and histogram
+    quantiles.  Every section is name-sorted and unit-tagged so the
+    output diffs cleanly across runs."""
     lines = ["counters:"]
     counters = telemetry.counters
-    if not (counters.counters or counters.gauges or counters.histograms):
+    if not (counters.counters or counters.histograms):
         return "counters: (none)"
     for name in sorted(counters.counters):
         value = counters.counters[name].value
         rendered = f"{int(value)}" if value == int(value) else f"{value:.6g}"
         unit = unit_for(name)
         lines.append(f"  {name:<44} {rendered:>14} {unit}".rstrip())
-    for name in sorted(counters.gauges):
-        gauge = counters.gauges[name]
-        unit = unit_for(name)
-        suffix = f" [{unit}]" if unit else ""
-        lines.append(
-            f"  {name:<44} last={gauge.last:.6g} mean={gauge.mean:.6g} "
-            f"n={gauge.count}{suffix}"
-        )
     if counters.histograms:
         lines.append("histograms:")
         for name in sorted(counters.histograms):

@@ -1,11 +1,10 @@
 """Log-bucketed histograms: distributions the counters cannot capture.
 
-A :class:`Gauge` keeps min/mean/max -- enough for queue depths, useless
-for latency tails.  :class:`Histogram` buckets observations on a
-logarithmic grid (each bucket is ``GROWTH``x wider than the previous,
-so relative resolution is constant across nine orders of magnitude) and
-estimates quantiles by walking the bucket counts.  Three properties are
-load-bearing for the run-report layer:
+:class:`Histogram` buckets observations on a logarithmic grid (each
+bucket is ``GROWTH``x wider than the previous, so relative resolution
+is constant across nine orders of magnitude) and estimates quantiles by
+walking the bucket counts.  Three properties are load-bearing for the
+run-report layer:
 
 * **Exact conservation** -- ``count`` and ``total`` are plain sums, so
   they are exact for any observation stream and survive any sequence of

@@ -4,10 +4,11 @@ Exactly one registry is *active* at any moment: either a live
 :class:`Telemetry` (after :func:`enable`) or the shared
 :class:`DisabledTelemetry` singleton (the default).  Instrumented code
 never branches on configuration -- it asks :func:`get` for the active
-registry and calls ``span`` / ``inc`` / ``observe`` unconditionally.
-When telemetry is off those calls hit the no-op singleton: ``span``
-returns the one shared :data:`~repro.telemetry.spans.NULL_SPAN`,
-``inc``/``observe`` return immediately, and nothing allocates.  The
+registry and calls ``span`` / ``inc`` / ``observe_hist``
+unconditionally.  When telemetry is off those calls hit the no-op
+singleton: ``span`` returns the one shared
+:data:`~repro.telemetry.spans.NULL_SPAN`, ``inc``/``observe_hist``
+return immediately, and nothing allocates.  The
 hottest paths additionally guard on the ``enabled`` attribute so the
 off cost collapses to a single attribute check -- mirroring the paper's
 "application performance is unaffected by this capture" discipline
@@ -36,7 +37,7 @@ import time
 from typing import Any, Callable, Iterator, TypeVar
 
 from repro.telemetry import context as trace_context
-from repro.telemetry.counters import Counter, CounterSet, Gauge
+from repro.telemetry.counters import Counter, CounterSet
 from repro.telemetry.histograms import Histogram
 from repro.telemetry.spans import (
     NULL_SPAN,
@@ -159,9 +160,6 @@ class Telemetry:
     def inc(self, name: str, amount: float = 1.0) -> None:
         self.counters.counter(name).inc(amount)
 
-    def observe(self, name: str, value: float) -> None:
-        self.counters.gauge(name).observe(value)
-
     def observe_hist(self, name: str, value: float, unit: str = "") -> None:
         """One observation into the named log-bucketed histogram.
 
@@ -235,9 +233,6 @@ class DisabledTelemetry:
         return []
 
     def inc(self, name: str, amount: float = 1.0) -> None:
-        pass
-
-    def observe(self, name: str, value: float) -> None:
         pass
 
     def observe_hist(self, name: str, value: float, unit: str = "") -> None:
@@ -320,7 +315,6 @@ __all__ = [
     "CounterSet",
     "DISABLED",
     "DisabledTelemetry",
-    "Gauge",
     "Telemetry",
     "disable",
     "enable",

@@ -9,17 +9,17 @@ type, :class:`TelemetryDelta`, captured by a :class:`DeltaTracker`:
   since the previous capture -- the live endpoint's in-flight view
   (:mod:`repro.obs.live`);
 * the *final delta*, returned with the task's result, carries every
-  series, gauge sample trails, the task's spans and event records, and
-  the registry's clock origin.
+  series, the task's spans and event records, and the registry's clock
+  origin.
 
 The parent folds each final delta into its own registry with
 :func:`merge_delta` -- spans keep their parent/child structure *and
 their ids* (span ids are namespaced by a per-process random high word,
 so cross-process collisions cannot happen and no remapping is needed),
 worker threads get synthetic negative thread ids so they render as
-separate tracks, and counter/gauge totals accumulate -- so ``gtpin
-trace`` produces one complete Chrome trace whether the sweep ran
-serially or across N processes.
+separate tracks, and counter and histogram totals accumulate -- so
+``gtpin trace`` produces one complete Chrome trace whether the sweep
+ran serially or across N processes.
 
 Timestamps are aligned via each registry's wall-clock creation time:
 ``perf_counter_ns`` origins are process-local, so a worker span's offset
@@ -33,7 +33,6 @@ import collections
 import dataclasses
 import os
 
-from repro.telemetry.counters import Sample
 from repro.telemetry.histograms import HistogramSnapshot
 from repro.telemetry.registry import Telemetry
 from repro.telemetry.spans import SpanRecord
@@ -51,19 +50,6 @@ class CounterSnapshot:
     name: str
     value: float
     ops: int = 0
-
-
-@dataclasses.dataclass(frozen=True)
-class GaugeSnapshot:
-    """Summary statistics of one worker-side gauge."""
-
-    name: str
-    last: float
-    count: int
-    total: float
-    minimum: float
-    maximum: float
-    samples: tuple[Sample, ...]
 
 
 def merge_delta(
@@ -130,18 +116,6 @@ def merge_delta(
         # inc() tallied one op for the merge itself; replace that with
         # the worker's true operation count.
         merged_counter.ops += counter.ops - 1
-    for gauge in delta.gauges:
-        merged = target.counters.gauge(gauge.name)
-        if gauge.count == 0:
-            continue
-        merged.last = gauge.last
-        merged.count += gauge.count
-        merged.total += gauge.total
-        merged.minimum = min(merged.minimum, gauge.minimum)
-        merged.maximum = max(merged.maximum, gauge.maximum)
-        merged.samples.extend(
-            Sample(s.ts_ns + shift_ns, s.value) for s in gauge.samples
-        )
     for hist in delta.histograms:
         target.counters.histogram(hist.name, hist.unit).merge(hist)
 
@@ -169,15 +143,14 @@ class TelemetryDelta:
 
     A heartbeat carries the series that changed since the previous
     capture and, in ``events``, the newest WARN/ERROR records not yet
-    sent.  The final delta (``final=True``) carries every series with
-    its gauge sample trail, every span and event record of the task,
-    and the clock origin :func:`merge_delta` aligns timestamps with.
+    sent.  The final delta (``final=True``) carries every series, every
+    span and event record of the task, and the clock origin
+    :func:`merge_delta` aligns timestamps with.
     """
 
     source: str
     seq: int
     counters: tuple[CounterSnapshot, ...] = ()
-    gauges: tuple[GaugeSnapshot, ...] = ()
     histograms: tuple[HistogramSnapshot, ...] = ()
     events: tuple = ()
     task: str = ""
@@ -197,7 +170,6 @@ class DeltaTracker:
         self.task = task
         self.seq = 0
         self._counter_marks: dict[str, tuple[float, int]] = {}
-        self._gauge_marks: dict[str, int] = {}
         self._hist_marks: dict[str, int] = {}
         self._event_watermark = 0.0
 
@@ -215,21 +187,6 @@ class DeltaTracker:
                 self._counter_marks[name] = mark
                 changed_counters.append(
                     CounterSnapshot(name=name, value=mark[0], ops=mark[1])
-                )
-        changed_gauges = []
-        for name, gauge in list(counters.gauges.items()):
-            if final or self._gauge_marks.get(name) != gauge.count:
-                self._gauge_marks[name] = gauge.count
-                changed_gauges.append(
-                    GaugeSnapshot(
-                        name=name,
-                        last=gauge.last,
-                        count=gauge.count,
-                        total=gauge.total,
-                        minimum=gauge.minimum,
-                        maximum=gauge.maximum,
-                        samples=tuple(gauge.samples) if final else (),
-                    )
                 )
         changed_hists = []
         for name, hist in list(counters.histograms.items()):
@@ -249,19 +206,12 @@ class DeltaTracker:
                 if recent:
                     self._event_watermark = max(r.ts_unix for r in recent)
                     events = tuple(recent)
-        if (
-            not changed_counters
-            and not changed_gauges
-            and not changed_hists
-            and not events
-            and not final
-        ):
+        if not (changed_counters or changed_hists or events or final):
             return None
         delta = TelemetryDelta(
             source=self.source,
             seq=self.seq,
             counters=tuple(changed_counters),
-            gauges=tuple(changed_gauges),
             histograms=tuple(changed_hists),
             events=events,
             task=self.task,
@@ -273,20 +223,6 @@ class DeltaTracker:
         )
         self.seq += 1
         return delta
-
-
-def gauge_envelope(held, gauge, last: float) -> GaugeSnapshot:
-    """Two gauge summaries (live gauges or snapshots) as one: count and
-    total summed, min/max enveloped, ``last`` as given; no samples."""
-    return GaugeSnapshot(
-        name=gauge.name,
-        last=last,
-        count=held.count + gauge.count,
-        total=held.total + gauge.total,
-        minimum=min(held.minimum, gauge.minimum),
-        maximum=max(held.maximum, gauge.maximum),
-        samples=(),
-    )
 
 
 class DeltaAccumulator:
@@ -303,7 +239,6 @@ class DeltaAccumulator:
 
     def __init__(self) -> None:
         self._counters: dict[tuple[str, str], tuple[int, CounterSnapshot]] = {}
-        self._gauges: dict[tuple[str, str], tuple[int, GaugeSnapshot]] = {}
         self._hists: dict[tuple[str, str], tuple[int, HistogramSnapshot]] = {}
         self._event_seqs: dict[str, set[int]] = {}
         self._events: dict[str, collections.deque] = {}
@@ -315,7 +250,6 @@ class DeltaAccumulator:
         fresh = False
         for table, series in (
             (self._counters, delta.counters),
-            (self._gauges, delta.gauges),
             (self._hists, delta.histograms),
         ):
             for item in series:
@@ -345,7 +279,7 @@ class DeltaAccumulator:
         """Forget one source's contribution (after its final delta has
         been folded into a real registry, keeping it would double
         count)."""
-        for table in (self._counters, self._gauges, self._hists):
+        for table in (self._counters, self._hists):
             for key in [k for k in table if k[0] == source]:
                 del table[key]
         self._event_seqs.pop(source, None)
@@ -353,7 +287,6 @@ class DeltaAccumulator:
 
     def sources(self) -> set[str]:
         out = {key[0] for key in self._counters}
-        out |= {key[0] for key in self._gauges}
         out |= {key[0] for key in self._hists}
         return out
 
@@ -367,22 +300,6 @@ class DeltaAccumulator:
         for (_, name), (_, counter) in sorted(self._counters.items()):
             totals[name] = totals.get(name, 0.0) + counter.value
         return totals
-
-    def gauge_totals(self) -> dict[str, GaugeSnapshot]:
-        """Per-gauge aggregate across sources (count/total sums,
-        min/max envelopes, ``last`` from the newest capture)."""
-        merged: dict[str, GaugeSnapshot] = {}
-        newest: dict[str, int] = {}
-        for (_, name), (seq, gauge) in sorted(self._gauges.items()):
-            held = merged.get(name)
-            if held is None:
-                merged[name] = gauge
-                newest[name] = seq
-                continue
-            last = gauge.last if seq >= newest[name] else held.last
-            newest[name] = max(newest[name], seq)
-            merged[name] = gauge_envelope(held, gauge, last)
-        return merged
 
     def histogram_totals(self) -> dict[str, Histogram]:
         """Per-histogram merge of every source's latest snapshot."""

@@ -136,7 +136,7 @@ def test_explicit_drain_clears_pending_oversized_flag():
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import faults
+from repro import faults, telemetry
 
 _block_counts = st.lists(
     st.integers(min_value=0, max_value=120), min_size=1, max_size=30
@@ -240,3 +240,30 @@ def test_property_bytes_conserved_under_trace_faults(
     # the survivors because corrupted records can be truncated away too.
     assert buffer.corrupted_records >= sum(1 for r in drained if r.corrupted)
     assert buffer.corrupted_records <= len(records)
+
+
+def test_counters_add_each_flush_once_before_truncation():
+    """Records and bytes are counted once per non-empty flush, before
+    ``trace.truncate`` loses any, so the counters equal the buffer's
+    own totals."""
+    record = _record()
+    plan = faults.FaultPlan(
+        seed=3, rules=(faults.FaultRule("trace.truncate", 0.5),)
+    )
+    with telemetry.session() as tm, faults.session(plan):
+        buffer = TraceBuffer(capacity_bytes=record.record_bytes * 3)
+        drains = 0
+        for i in range(20):
+            buffer.write(_record(i))
+            if i % 7 == 6:
+                drains += buffer.resident_bytes > 0
+                buffer.drain()
+        drains += buffer.resident_bytes > 0
+        buffer.drain()
+        buffer.drain()  # nothing resident: no flush to count
+    assert buffer.overflow_drains > 0 and buffer.lost_records > 0
+    records = tm.counters.counter("gtpin.trace_buffer.records")
+    written = tm.counters.counter("gtpin.trace_buffer.bytes")
+    assert records.value == buffer.total_records == 20
+    assert written.value == buffer.total_bytes_written
+    assert records.ops == written.ops == buffer.overflow_drains + drains

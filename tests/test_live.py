@@ -70,7 +70,7 @@ def _get(hub, path):
 
 _OPS = st.lists(
     st.tuples(
-        st.sampled_from(["inc", "gauge", "hist"]),
+        st.sampled_from(["inc", "hist"]),
         st.sampled_from(["alpha", "beta", "gamma"]),
         st.floats(min_value=0.001, max_value=1e6, allow_nan=False),
     ),
@@ -83,8 +83,6 @@ def _apply_ops(tm, ops):
     for kind, name, value in ops:
         if kind == "inc":
             tm.inc(name, value)
-        elif kind == "gauge":
-            tm.observe(name, value)
         else:
             tm.observe_hist(name, value, "u")
 
@@ -109,14 +107,6 @@ def _assert_conserves(acc, tm):
     assert acc.counter_totals() == {
         name: c.value for name, c in tm.counters.counters.items()
     }
-    gauges = acc.gauge_totals()
-    assert set(gauges) == set(tm.counters.gauges)
-    for name, gauge in tm.counters.gauges.items():
-        got = gauges[name]
-        assert (got.count, got.total, got.minimum, got.maximum) == (
-            gauge.count, gauge.total, gauge.minimum, gauge.maximum
-        )
-        assert got.last == gauge.last
     hists = acc.histogram_totals()
     assert set(hists) == set(tm.counters.histograms)
     for name, hist in tm.counters.histograms.items():

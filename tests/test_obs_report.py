@@ -37,7 +37,6 @@ def _recorded(tm, log):
     with tm.span("root", category="cli"):
         with tm.span("work", category="sampling"):
             tm.inc("demo.counter", 7)
-            tm.observe("demo.gauge_bytes", 1024)
             for v in (0.001, 0.004, 0.016, 0.064):
                 tm.observe_hist("demo.latency_seconds", v, "s")
             log.info("demo.started", app="x")
@@ -63,7 +62,6 @@ def test_report_sections_cover_run_state(tm, log):
     for column in ("p50", "p90", "p99"):
         assert column in html
     assert "demo.counter" in html
-    assert "demo.gauge_bytes" in html
     assert "Faults and health" in html
     assert "fault.injected" in html  # WARN incidents are listed
     assert "Event log" in html

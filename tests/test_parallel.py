@@ -77,7 +77,7 @@ def _traced_task(x):
     tm = telemetry.get()
     with tm.span("worker.task", category="test", x=x):
         tm.inc("worker.tasks")
-        tm.observe("worker.value", float(x))
+        tm.observe_hist("worker.value", float(x))
     return x
 
 
@@ -387,9 +387,9 @@ def test_worker_telemetry_merges_into_parent():
         with tm.span("driver", category="test"):
             parallel_map(_traced_task, [(i,) for i in range(4)], jobs=2)
         assert tm.counter_value("worker.tasks") == 4
-        gauge = tm.counters.gauge("worker.value")
-        assert gauge.count == 4
-        assert gauge.minimum == 0.0 and gauge.maximum == 3.0
+        hist = tm.counters.histograms["worker.value"]
+        assert hist.count == 4
+        assert hist.minimum == 0.0 and hist.maximum == 3.0
         spans = tm.spans()
         names = [s.name for s in spans]
         assert names.count("worker.task") == 4
@@ -435,7 +435,7 @@ def test_merge_snapshot_roundtrip_without_pool():
         with worker_tm.span("outer", category="test"):
             with worker_tm.span("inner", category="test"):
                 worker_tm.inc("some.counter", 2)
-                worker_tm.observe("some.gauge", 5.0)
+                worker_tm.observe_hist("some.hist", 5.0)
         snapshot = DeltaTracker("w").capture(worker_tm, final=True)
     assert len(snapshot.spans) == 2
 
@@ -448,7 +448,7 @@ def test_merge_snapshot_roundtrip_without_pool():
         assert spans["outer"].parent_id == parent_id
         assert spans["outer"].span_id != spans["parent"].span_id
         assert tm.counter_value("some.counter") == 2
-        assert tm.counters.gauge("some.gauge").count == 1
+        assert tm.counters.histograms["some.hist"].count == 1
 
 
 def test_merge_snapshot_into_disabled_registry_is_noop():

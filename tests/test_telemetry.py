@@ -116,17 +116,6 @@ def test_counter_accumulation(tm):
     assert tm.counter_value("never-touched") == 0.0
 
 
-def test_gauge_observation_statistics(tm):
-    for value in (3.0, 1.0, 2.0):
-        tm.observe("depth", value)
-    gauge = tm.counters.gauge("depth")
-    assert gauge.last == 2.0
-    assert gauge.count == 3
-    assert gauge.minimum == 1.0
-    assert gauge.maximum == 3.0
-    assert gauge.mean == pytest.approx(2.0)
-
-
 def test_counter_sample_trail_is_bounded(tm):
     from repro.telemetry.counters import MAX_SAMPLES
 
@@ -149,7 +138,6 @@ def test_disabled_is_the_default_and_a_noop():
     assert span is telemetry.NULL_SPAN
     with span:
         tm.inc("counter", 100)
-        tm.observe("gauge", 1.0)
     assert tm.spans() == []
     assert tm.counter_value("counter") == 0.0
 
@@ -201,7 +189,6 @@ def _populated_registry():
     with registry.span("root", category="cli", app="demo"):
         with registry.span("child", category="gtpin"):
             registry.inc("gtpin.records", 3)
-        registry.observe("queue.depth", 2.0)
     return registry
 
 
@@ -253,7 +240,7 @@ def test_write_chrome_trace_and_jsonl(tmp_path):
     assert data["traceEvents"]
     lines = jsonl_path.read_text().splitlines()
     records = [json.loads(line) for line in lines]
-    assert {r["type"] for r in records} >= {"span", "counter", "gauge"}
+    assert {r["type"] for r in records} >= {"span", "counter"}
     spans = [r for r in records if r["type"] == "span"]
     assert {s["name"] for s in spans} == {"root", "child"}
 
@@ -293,12 +280,10 @@ def test_counters_summary_lists_values():
     registry = telemetry.enable()
     try:
         registry.inc("a.count", 7)
-        registry.observe("b.gauge", 1.25)
         text = telemetry.counters_summary(registry)
     finally:
         telemetry.disable()
     assert "a.count" in text and "7" in text
-    assert "b.gauge" in text and "1.25" in text
 
 
 # -- instrumented stack (unit level) ----------------------------------------
