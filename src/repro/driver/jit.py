@@ -4,7 +4,10 @@ In the real stack the driver JIT-compiles OpenCL C into GEN machine code
 when ``clBuildProgram`` is issued (Section III-A).  Our "source" form is a
 :class:`KernelSource` that already carries the lowered kernel body (the
 workload generator produces kernels directly in the ISA model); *compiling*
-stamps JIT metadata onto a fresh :class:`~repro.isa.kernel.KernelBinary`.
+stamps JIT metadata onto a fresh :class:`~repro.isa.kernel.KernelBinary`
+that keeps the body's block tuple and program tree, and so shares the
+body's derived state (footprint arrays, send plan, exec sizes, count
+walk): a kernel is lowered once however often it is built.
 
 What matters for fidelity is the *pipeline position*: compilation happens
 inside the driver, and GT-Pin's binary rewriter is interposed between the

@@ -17,6 +17,7 @@ is a deterministic, replayable test case.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 
 #: Environment variable carrying a fault-plan spec (same format as
@@ -140,9 +141,13 @@ class FaultPlan:
             raise ValueError(
                 f"duplicate fault rules for sites: {sorted(duplicates)}"
             )
-        if self.dispatch_timeout_seconds <= 0:
+        if self.seed < 0:
+            # numpy's SeedSequence takes only non-negative entropy; the
+            # first draw would fail in the middle of a run.
+            raise ValueError(f"fault-plan seed must be >= 0, got {self.seed}")
+        if not 0 < self.dispatch_timeout_seconds < math.inf:
             raise ValueError(
-                "dispatch_timeout_seconds must be positive, got "
+                "dispatch_timeout_seconds must be positive and finite, got "
                 f"{self.dispatch_timeout_seconds}"
             )
 

@@ -4,12 +4,15 @@ This is the stand-in for the physical HD 4000/4600.  A dispatch:
 
 1. derives the hardware-thread count from the global work size and the
    kernel's SIMD compile width,
-2. walks the kernel's structured program once to obtain per-thread basic
-   block execution counts (data-dependent trip counts resolved with the
-   trial RNG), and scales them across threads,
-3. turns the per-block counts into dynamic totals (instructions, cycles,
-   bytes) with one matrix-vector product against the kernel's static
-   footprints, and
+2. evaluates the kernel's count walk -- its structured program lowered
+   once per kernel to a flat op list
+   (:attr:`~repro.isa.kernel.KernelBinary.count_walk`) -- to obtain
+   per-thread basic block execution counts (data-dependent trip counts
+   resolved with the trial RNG, in the tree's pre-order), and scales
+   them across threads,
+3. turns the per-block counts into dynamic totals: instructions, bytes
+   read and bytes written in one exact int64 product against the
+   kernel's footprint matrix, issue cycles in one float product, and
 4. prices the invocation with the roofline timing model.
 
 If the binary was rewritten by GT-Pin, the injected instrumentation "runs"
@@ -31,7 +34,6 @@ import numpy as np
 from repro.gpu.device import DeviceSpec
 from repro.gpu.timing import KernelCost, TimingModel, TimingParameters
 from repro.isa.kernel import KernelBinary
-from repro.isa.program import execution_counts
 
 #: Metadata key under which the GT-Pin rewriter stores its execution hook.
 ON_EXECUTE_HOOK_KEY = "gtpin.on_execute"
@@ -155,17 +157,8 @@ class GPUDevice:
         exec_env: Mapping[str, float] = (
             {**data_env, **arg_values} if data_env else arg_values
         )
-        per_thread = execution_counts(
-            binary.program, exec_env, rng, binary.n_blocks
-        )
-        block_counts = per_thread * n_hw_threads
-
-        arrays = binary.arrays
-        counts_f = block_counts.astype(np.float64)
-        instruction_count = int(block_counts @ arrays.instruction_counts)
-        issue_cycles = float(counts_f @ arrays.issue_cycles)
-        bytes_read = int(block_counts @ arrays.bytes_read)
-        bytes_written = int(block_counts @ arrays.bytes_written)
+        (block_counts, instruction_count, bytes_read, bytes_written,
+         issue_cycles) = binary.invocation_totals(exec_env, rng, n_hw_threads)
 
         cost = self.timing.cost(
             total_issue_cycles=issue_cycles,
@@ -193,9 +186,8 @@ class GPUDevice:
             sync_epoch=sync_epoch,
             data_env=dict(data_env or {}),
             buffer_reads=tuple(sorted(
-                key for key in (data_env or ())
-                if key in binary.trip_args
-            )),
+                key for key in binary.trip_args if key in data_env
+            )) if data_env else (),
         )
         self.dispatch_log.append(dispatch)
 

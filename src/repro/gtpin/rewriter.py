@@ -23,6 +23,8 @@ trace buffer.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.gpu.execution import (
     ON_EXECUTE_HOOK_KEY,
     ORIGINAL_BINARY_KEY,
@@ -37,7 +39,6 @@ from repro.gtpin.instrumentation import (
 )
 from repro.gtpin.trace_buffer import TraceBuffer, TraceRecord
 from repro.isa.basic_block import BasicBlock
-from repro.isa.instruction import Instruction
 from repro.isa.kernel import KernelBinary
 
 
@@ -69,18 +70,9 @@ class GTPinRewriter:
             )
         self.original_binaries[binary.name] = binary
         self.rewritten_count += 1
-
-        if not self.capabilities:
-            # A tool that collects nothing still observes dispatches.
-            new_blocks = list(binary.blocks)
-        else:
-            new_blocks = [
-                self._rewrite_block(block, binary) for block in binary.blocks
-            ]
-            new_blocks = self._add_kernel_boundary_probes(new_blocks, binary)
-
-        return binary.with_blocks(
-            new_blocks,
+        return binary.rewritten(
+            self.capabilities,
+            self._instrument,
             metadata={
                 ORIGINAL_BINARY_KEY: binary,
                 ON_EXECUTE_HOOK_KEY: self._on_execute,
@@ -89,37 +81,42 @@ class GTPinRewriter:
 
     # -- block-level rewriting ---------------------------------------------
 
-    def _rewrite_block(
-        self, block: BasicBlock, binary: KernelBinary
-    ) -> BasicBlock:
-        instructions: list[Instruction] = []
-        if Capability.BLOCK_COUNTS in self.capabilities:
-            instructions.extend(block_counter_probe())
-        for instr in block.instructions:
-            if (
-                Capability.MEMORY_TRACE in self.capabilities
-                and instr.is_send
-            ):
-                instructions.extend(memory_trace_probe(instr))
-            instructions.append(instr)
-        return block.with_instructions(instructions)
+    def _instrument(self, binary: KernelBinary) -> Sequence[BasicBlock]:
+        """The instrumented blocks of ``binary`` for this capability set.
 
-    def _add_kernel_boundary_probes(
-        self, blocks: list[BasicBlock], binary: KernelBinary
-    ) -> list[BasicBlock]:
-        entry, exit_ = blocks[0], blocks[-1]
-        if Capability.TIMERS in self.capabilities:
-            blocks[0] = entry.with_instructions(
-                timer_probe() + list(entry.instructions)
+        Depends only on the capabilities and the blocks, so
+        :meth:`KernelBinary.rewritten` keeps the result with the
+        application's kernel and later GT-Pin passes reuse it.  Each
+        probe sequence is built once per kernel.
+        """
+        caps = self.capabilities
+        if not caps:
+            # A tool that collects nothing still observes dispatches.
+            return binary.blocks
+        counter = (
+            block_counter_probe() if Capability.BLOCK_COUNTS in caps else []
+        )
+        trace_sends = Capability.MEMORY_TRACE in caps
+        blocks = []
+        for block in binary.blocks:
+            instructions = list(counter)
+            for instr in block.instructions:
+                if trace_sends and instr.is_send:
+                    instructions.extend(memory_trace_probe(instr))
+                instructions.append(instr)
+            blocks.append(block.with_instructions(instructions))
+        if Capability.TIMERS in caps:
+            timer = timer_probe()
+            blocks[0] = blocks[0].with_instructions(
+                timer + list(blocks[0].instructions)
             )
-            exit_ = blocks[-1]
-            blocks[-1] = exit_.with_instructions(
-                list(exit_.instructions) + timer_probe()
+            blocks[-1] = blocks[-1].with_instructions(
+                list(blocks[-1].instructions) + timer
             )
-        if Capability.BLOCK_COUNTS in self.capabilities:
-            exit_ = blocks[-1]
-            blocks[-1] = exit_.with_instructions(
-                list(exit_.instructions) + counter_flush_probe(binary.n_blocks)
+        if Capability.BLOCK_COUNTS in caps:
+            blocks[-1] = blocks[-1].with_instructions(
+                list(blocks[-1].instructions)
+                + counter_flush_probe(binary.n_blocks)
             )
         return blocks
 
@@ -146,17 +143,19 @@ class GTPinRewriter:
             )
             payloads[Capability.MEMORY_TRACE.value] = n_addresses
 
+        # The record shares the dispatch's counts and dicts: the device
+        # builds them fresh per invocation and nothing modifies them.
         self.trace_buffer.write(
             TraceRecord(
                 dispatch_index=dispatch.dispatch_index,
                 kernel_name=dispatch.kernel_name,
                 global_work_size=dispatch.global_work_size,
-                arg_values=dict(dispatch.arg_values),
+                arg_values=dispatch.arg_values,
                 n_hw_threads=dispatch.n_hw_threads,
-                block_counts=dispatch.block_counts.copy(),
+                block_counts=dispatch.block_counts,
                 enqueue_call_index=dispatch.enqueue_call_index,
                 sync_epoch=dispatch.sync_epoch,
                 payloads=payloads,
-                data_values=dict(dispatch.data_env),
+                data_values=dispatch.data_env,
             )
         )

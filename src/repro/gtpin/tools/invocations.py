@@ -81,22 +81,20 @@ class InvocationLogTool(ProfilingTool):
     def process(self, context: ProfileContext) -> InvocationLog:
         profiles = []
         for record in context.records:
-            binary = context.binary(record.kernel_name)
-            arrays = binary.arrays
+            counts = record.block_counts
+            instructions, bytes_read, bytes_written = (
+                counts @ context.binary(record.kernel_name).footprints
+            ).tolist()
             profiles.append(
                 InvocationProfile(
                     index=record.dispatch_index,
                     kernel_name=record.kernel_name,
                     global_work_size=record.global_work_size,
                     arg_items=tuple(sorted(record.arg_values.items())),
-                    instruction_count=int(
-                        record.block_counts @ arrays.instruction_counts
-                    ),
-                    bytes_read=int(record.block_counts @ arrays.bytes_read),
-                    bytes_written=int(
-                        record.block_counts @ arrays.bytes_written
-                    ),
-                    block_counts=record.block_counts.copy(),
+                    instruction_count=instructions,
+                    bytes_read=bytes_read,
+                    bytes_written=bytes_written,
+                    block_counts=counts,
                     sync_epoch=record.sync_epoch,
                     enqueue_call_index=record.enqueue_call_index,
                     data_items=tuple(sorted(record.data_values.items())),

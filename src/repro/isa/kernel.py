@@ -8,19 +8,25 @@ signature, which the KN-ARGS / KN-GWS feature vectors of Table III consume.
 For bulk dynamic accounting the kernel precomputes dense per-block arrays
 (:class:`KernelArrays`): given a vector of per-block execution counts, every
 Figure 3/4 statistic is a single matrix-vector product.
+
+Everything derived from a kernel's blocks and program tree (those arrays,
+the send plan, the exec-size set, the lowered count walk, rewritten block
+tuples) lives in one :class:`_Lowered` record that a JIT output shares
+with its source body, so it is computed once per kernel, not once per
+build or run.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.isa.basic_block import BasicBlock
 from repro.isa.instruction import EXEC_SIZES, AccessPattern, SendMessage
 from repro.isa.opcodes import FIGURE_4A_ORDER, OpClass
-from repro.isa.program import Node, block_ids, has_jitter, trip_arg_names
+from repro.isa.program import CountWalk, Node, block_ids
 
 
 @dataclasses.dataclass(frozen=True)
@@ -140,6 +146,43 @@ class SendPlan:
         )
 
 
+class _Lowered:
+    """A kernel's derived state, computed on first use.
+
+    Every binary over the same block tuple shares one instance (a JIT
+    output and its source body; the GT-Pin rewrites of one kernel for
+    one capability set).  Only ``arrays`` is pickled: the rest is
+    rebuilt on demand, so profile pickles carry no lowered state.
+    """
+
+    __slots__ = (
+        "arrays", "footprints", "send_plan", "exec_size_set", "walk",
+        "rewrites", "totals",
+    )
+
+    def __init__(self, arrays: "KernelArrays | None" = None) -> None:
+        self.arrays = arrays
+        #: (n_blocks, 3) int64: instructions, bytes read, bytes written.
+        self.footprints: np.ndarray | None = None
+        self.send_plan: SendPlan | None = None
+        self.exec_size_set: frozenset[int] | None = None
+        self.walk: CountWalk | None = None
+        #: rewrite key -> (rewritten blocks, their shared _Lowered).
+        self.rewrites: dict[Hashable, tuple] = {}
+        #: (threads, trip-arg values) -> invocation_totals result.
+        self.totals: dict[tuple, tuple] = {}
+
+    def __getstate__(self) -> tuple:
+        return (self.arrays,)
+
+    def __setstate__(self, state: tuple) -> None:
+        self.__init__(*state)
+
+
+#: Entries a kernel's invocation-totals memo holds before it is cleared.
+_TOTALS_CAPACITY = 4096
+
+
 def validate_exec_sizes(
     binary: "KernelBinary",
     allowed: frozenset[int] | set[int],
@@ -220,12 +263,15 @@ class KernelBinary:
         self.arg_names = tuple(arg_names)
         self.source_lines = source_lines
         self.metadata = dict(metadata or {})
-        self._arrays: KernelArrays | None = None
-        self._send_plan: SendPlan | None = None
-        self._is_deterministic: bool | None = None
-        self._counts_deterministic: bool | None = None
-        self._trip_args: frozenset[str] | None = None
-        self._exec_size_set: frozenset[int] | None = None
+        self._lowered = _Lowered()
+
+    def __setstate__(self, state: dict) -> None:
+        if "_lowered" not in state:
+            # Pickled before the derived state moved into _Lowered.
+            arrays = state.get("_arrays")
+            state = {k: v for k, v in state.items() if k[:1] != "_"}
+            state["_lowered"] = _Lowered(arrays)
+        self.__dict__.update(state)
 
     # -- structure ----------------------------------------------------------
 
@@ -242,16 +288,89 @@ class KernelBinary:
     @property
     def arrays(self) -> KernelArrays:
         """Cached dense static footprints (see :class:`KernelArrays`)."""
-        if self._arrays is None:
-            self._arrays = KernelArrays.of(self.blocks)
-        return self._arrays
+        lowered = self._lowered
+        if lowered.arrays is None:
+            lowered.arrays = KernelArrays.of(self.blocks)
+        return lowered.arrays
+
+    @property
+    def footprints(self) -> np.ndarray:
+        """Cached ``(n_blocks, 3)`` int64 matrix of per-block instruction
+        counts, bytes read and bytes written.
+
+        ``counts @ footprints`` gives an invocation's three integer
+        totals in one exact int64 product.
+        """
+        lowered = self._lowered
+        if lowered.footprints is None:
+            arrays = self.arrays
+            lowered.footprints = np.column_stack((
+                arrays.instruction_counts, arrays.bytes_read,
+                arrays.bytes_written,
+            ))
+        return lowered.footprints
 
     @property
     def send_plan(self) -> SendPlan:
         """Cached per-block send footprints (see :class:`SendPlan`)."""
-        if self._send_plan is None:
-            self._send_plan = SendPlan.of(self.blocks)
-        return self._send_plan
+        lowered = self._lowered
+        if lowered.send_plan is None:
+            lowered.send_plan = SendPlan.of(self.blocks)
+        return lowered.send_plan
+
+    @property
+    def count_walk(self) -> CountWalk:
+        """The program tree lowered once for block-count resolution.
+
+        ``binary.count_walk.counts(args, rng, binary.n_blocks)`` equals
+        :func:`~repro.isa.program.execution_counts` on ``binary.program``.
+        """
+        lowered = self._lowered
+        if lowered.walk is None:
+            lowered.walk = CountWalk(self.program)
+        return lowered.walk
+
+    def invocation_totals(
+        self,
+        args: Mapping[str, float],
+        rng: np.random.Generator,
+        n_hw_threads: int,
+    ) -> tuple[np.ndarray, int, int, int, float]:
+        """Block counts and dynamic totals of one invocation.
+
+        Returns ``(block_counts, instructions, bytes_read, bytes_written,
+        issue_cycles)``: the :attr:`count_walk` counts times
+        ``n_hw_threads``, the three integer totals from one exact int64
+        product with :attr:`footprints`, and issue cycles from one float
+        product.  A jitter-free walk reads nothing but its trip
+        arguments' values and draws no RNG, so its result is memoized
+        on ``(n_hw_threads, those values)`` and a hit returns the same
+        numbers with a fresh copy of the counts.
+        """
+        walk = self.count_walk
+        memo = key = None
+        if not walk.jittered:
+            memo = self._lowered.totals
+            key = (n_hw_threads, *[
+                float(args.get(name, 0.0)) for name in walk.trip_arg_order
+            ])
+            hit = memo.get(key)
+            if hit is not None:
+                return (hit[0].copy(), *hit[1:])
+        block_counts = walk.counts(args, rng, self.n_blocks) * n_hw_threads
+        instructions, bytes_read, bytes_written = (
+            block_counts @ self.footprints
+        ).tolist()
+        issue_cycles = float(
+            block_counts.astype(np.float64) @ self.arrays.issue_cycles
+        )
+        totals = (block_counts, instructions, bytes_read, bytes_written,
+                  issue_cycles)
+        if memo is not None:
+            if len(memo) >= _TOTALS_CAPACITY:
+                memo.clear()
+            memo[key] = (block_counts.copy(), *totals[1:])
+        return totals
 
     @property
     def is_deterministic(self) -> bool:
@@ -262,11 +381,9 @@ class KernelBinary:
         function of (arguments, global work size, cache state), which
         enables invocation memoization.
         """
-        if self._is_deterministic is None:
-            self._is_deterministic = not has_jitter(self.program) and not (
-                self.send_plan.has_random_sends
-            )
-        return self._is_deterministic
+        return self.counts_deterministic and not (
+            self.send_plan.has_random_sends
+        )
 
     @property
     def counts_deterministic(self) -> bool:
@@ -277,9 +394,7 @@ class KernelBinary:
         trip is jittered, so its counts can be precomputed or cached
         without touching the RNG.
         """
-        if self._counts_deterministic is None:
-            self._counts_deterministic = not has_jitter(self.program)
-        return self._counts_deterministic
+        return not self.count_walk.jittered
 
     @property
     def exec_size_set(self) -> frozenset[int]:
@@ -289,13 +404,14 @@ class KernelBinary:
         their capability flags (:func:`validate_exec_sizes`) before
         accepting a dispatch.
         """
-        if self._exec_size_set is None:
+        lowered = self._lowered
+        if lowered.exec_size_set is None:
             sizes = {self.simd_width}
             for block in self.blocks:
                 for instr in block.instructions:
                     sizes.add(instr.exec_size)
-            self._exec_size_set = frozenset(sizes)
-        return self._exec_size_set
+            lowered.exec_size_set = frozenset(sizes)
+        return lowered.exec_size_set
 
     @property
     def trip_args(self) -> frozenset[str]:
@@ -305,9 +421,7 @@ class KernelBinary:
         is the kernel's buffer *read set*: the only device-memory state
         that can change its dynamic behaviour.
         """
-        if self._trip_args is None:
-            self._trip_args = trip_arg_names(self.program)
-        return self._trip_args
+        return self.count_walk.trip_args
 
     # -- static statistics ----------------------------------------------------
 
@@ -331,13 +445,15 @@ class KernelBinary:
     def with_blocks(
         self, blocks: Sequence[BasicBlock], metadata: Mapping[str, object] | None = None
     ) -> "KernelBinary":
-        """A rewritten copy sharing this kernel's structure and signature.
+        """A copy sharing this kernel's structure and signature.
 
-        The GT-Pin binary rewriter uses this to emit an instrumented binary
-        while leaving the original untouched.
+        ``metadata`` is merged over this binary's.  Given this binary's
+        own block tuple (what the JIT does), the copy also shares its
+        derived state, so nothing is recomputed.
         """
-        merged = dict(self.metadata)
-        merged.update(metadata or {})
+        blocks = tuple(blocks)
+        if blocks is self.blocks:
+            return self._derive(blocks, self._lowered, metadata)
         return KernelBinary(
             name=self.name,
             blocks=blocks,
@@ -345,8 +461,45 @@ class KernelBinary:
             simd_width=self.simd_width,
             arg_names=self.arg_names,
             source_lines=self.source_lines,
-            metadata=merged,
+            metadata={**self.metadata, **(metadata or {})},
         )
+
+    def rewritten(
+        self,
+        key: Hashable,
+        rewrite: Callable[["KernelBinary"], Sequence[BasicBlock]],
+        metadata: Mapping[str, object] | None = None,
+    ) -> "KernelBinary":
+        """A copy whose blocks are ``rewrite(self)``, computed once per key.
+
+        The rewritten blocks and their derived state are memoized under
+        ``key`` on the state this binary shares with its source body, so
+        every later build of the kernel reuses them.  ``rewrite`` must
+        depend only on ``key`` and this binary's blocks and program; the
+        GT-Pin rewriter keys on its capability set.  The original binary
+        is never modified.
+        """
+        memo = self._lowered.rewrites
+        entry = memo.get(key)
+        if entry is None:
+            first = self.with_blocks(rewrite(self))
+            entry = memo.setdefault(key, (first.blocks, first._lowered))
+        blocks, lowered = entry
+        return self._derive(blocks, lowered, metadata)
+
+    def _derive(
+        self,
+        blocks: tuple[BasicBlock, ...],
+        lowered: _Lowered,
+        metadata: Mapping[str, object] | None,
+    ) -> "KernelBinary":
+        """A copy over already-validated ``blocks`` and their state."""
+        derived = object.__new__(KernelBinary)
+        derived.__dict__.update(self.__dict__)
+        derived.blocks = blocks
+        derived.metadata = {**self.metadata, **(metadata or {})}
+        derived._lowered = lowered
+        return derived
 
     def disassemble(self) -> str:
         header = (

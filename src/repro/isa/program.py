@@ -12,6 +12,16 @@ This is a modelling choice, not a shortcut in the methodology: GT-Pin's
 counters and the sampling pipeline consume only per-block dynamic counts,
 which the tree reproduces faithfully (including data-dependent trip counts
 and branch biases).
+
+A tree is not walked recursively at run time.  :class:`CountWalk` lowers
+it once to a flat op list in pre-order -- sequences flattened away,
+sibling blocks fused, each loop body and branch arm given a multiplier
+slot -- and evaluates that list with a program counter.  It applies the
+recursive definition's float operations in the same order, resolves
+trips (and draws jitter) for the same loops in the same order, and jumps
+over every subtree whose multiplier is ``<= 0``, so counts and generator
+state come out the same.  A :class:`~repro.isa.kernel.KernelBinary`
+keeps its walk, so each kernel's tree is lowered once.
 """
 
 from __future__ import annotations
@@ -122,57 +132,118 @@ def _collect_ids(node: Node, out: set[int]) -> None:
         raise TypeError(f"unknown program node {node!r}")
 
 
-def has_jitter(node: Node) -> bool:
-    """True if any loop in the tree resolves trips with RNG noise.
+#: Op kinds of a :class:`CountWalk`.
+_BLOCKS, _LOOP, _BRANCH = 0, 1, 2
 
-    A jitter-free tree consumes no RNG state in
-    :func:`execution_counts`, which is what makes an invocation's block
-    counts a pure function of its arguments (the property the simulation
-    engine's invocation memoization relies on).
+
+class CountWalk:
+    """A program tree lowered once to a flat op list.
+
+    The ops are the tree's nodes in pre-order, with sequences flattened
+    away and runs of sibling blocks fused into one op.  Every loop body
+    and branch arm gets a *slot* holding its multiplier: the root's slot
+    0 holds 1.0, and a loop or branch op writes its children's slots
+    with exactly the float operations the recursive definition applies
+    (``m * trips``, ``m * p_taken``, ``m - taken``).  An op whose slot
+    holds ``<= 0`` jumps past its subtree, so a zero-multiplier subtree
+    draws no jitter and counts nothing, and the loops that do run
+    resolve their trips in the same pre-order, drawing jitter from the
+    generator in the same order.
+
+    It also records what the kernel layer asks of a tree: the argument
+    names its trip counts read (:attr:`trip_args`, and sorted in
+    :attr:`trip_arg_order`) and whether any trip is jittered
+    (:attr:`jittered`).
     """
-    if isinstance(node, Block):
-        return False
-    if isinstance(node, Seq):
-        return any(has_jitter(child) for child in node.children)
-    if isinstance(node, Loop):
-        return node.trip.jitter > 0 or has_jitter(node.body)
-    if isinstance(node, Branch):
-        return has_jitter(node.taken) or (
-            node.not_taken is not None and has_jitter(node.not_taken)
-        )
-    raise TypeError(f"unknown program node {node!r}")  # pragma: no cover
 
+    __slots__ = ("ops", "n_slots", "trip_args", "trip_arg_order", "jittered")
 
-def trip_arg_names(node: Node) -> frozenset[str]:
-    """Argument names any loop trip count in the tree reads.
+    def __init__(self, node: Node) -> None:
+        self.ops: list[tuple] = []
+        self.n_slots = 1
+        names: set[str] = set()
+        self.jittered = False
+        self._lower(node, 0, names)
+        self.trip_args = frozenset(names)
+        self.trip_arg_order = tuple(sorted(names))
 
-    These are the only inputs (besides RNG jitter) that influence
-    :func:`execution_counts`; intersected with the host-written buffer
-    keys (the reserved ``__`` namespace) they form a dispatch's buffer
-    *read set* -- what the runtime records for dependency analysis and
-    what the batched simulation engine keys its epoch partition on.
-    """
-    names: set[str] = set()
-    _collect_trip_args(node, names)
-    return frozenset(names)
+    def _lower(self, node: Node, slot: int, names: set[str]) -> None:
+        ops = self.ops
+        if isinstance(node, Block):
+            last = ops[-1] if ops else None
+            if last is not None and last[0] == _BLOCKS and last[1] == slot:
+                ops[-1] = last[:3] + (last[3] + (node.block_id,),)
+            else:
+                ops.append((_BLOCKS, slot, len(ops) + 1, (node.block_id,)))
+        elif isinstance(node, Seq):
+            for child in node.children:
+                self._lower(child, slot, names)
+        elif isinstance(node, Loop):
+            trip = node.trip
+            if trip.arg is not None:
+                names.add(trip.arg)
+            self.jittered = self.jittered or trip.jitter > 0
+            at, body = len(ops), self._slot()
+            ops.append(None)
+            self._lower(node.body, body, names)
+            ops[at] = (
+                _LOOP, slot, len(ops), body,
+                float(trip.base), trip.arg, trip.scale, trip.jitter,
+            )
+        elif isinstance(node, Branch):
+            at, taken = len(ops), self._slot()
+            ops.append(None)
+            self._lower(node.taken, taken, names)
+            not_taken = None
+            if node.not_taken is not None:
+                not_taken = self._slot()
+                self._lower(node.not_taken, not_taken, names)
+            ops[at] = (_BRANCH, slot, len(ops), taken, not_taken, node.p_taken)
+        else:
+            raise TypeError(f"unknown program node {node!r}")
 
+    def _slot(self) -> int:
+        self.n_slots += 1
+        return self.n_slots - 1
 
-def _collect_trip_args(node: Node, out: set[str]) -> None:
-    if isinstance(node, Block):
-        return
-    if isinstance(node, Seq):
-        for child in node.children:
-            _collect_trip_args(child, out)
-    elif isinstance(node, Loop):
-        if node.trip.arg is not None:
-            out.add(node.trip.arg)
-        _collect_trip_args(node.body, out)
-    elif isinstance(node, Branch):
-        _collect_trip_args(node.taken, out)
-        if node.not_taken is not None:
-            _collect_trip_args(node.not_taken, out)
-    else:  # pragma: no cover - defensive
-        raise TypeError(f"unknown program node {node!r}")
+    def counts(
+        self,
+        args: ArgValues,
+        rng: np.random.Generator,
+        n_block_ids: int,
+    ) -> np.ndarray:
+        """Per-block execution counts for one pass (see
+        :func:`execution_counts`)."""
+        counts = [0] * n_block_ids
+        mults = [0.0] * self.n_slots
+        mults[0] = 1.0
+        ops = self.ops
+        pc, end = 0, len(ops)
+        while pc < end:
+            op = ops[pc]
+            multiplier = mults[op[1]]
+            if multiplier <= 0.0:
+                pc = op[2]
+                continue
+            pc += 1
+            kind = op[0]
+            if kind == _BLOCKS:
+                executions = int(round(multiplier))
+                for block_id in op[3]:
+                    counts[block_id] += executions
+            elif kind == _LOOP:
+                _, _, _, body, trips, arg, scale, jitter = op
+                if arg is not None:
+                    trips += scale * float(args.get(arg, 0.0))
+                if jitter:
+                    trips += int(rng.integers(-jitter, jitter + 1))
+                mults[body] = multiplier * max(0, int(round(trips)))
+            else:
+                taken = multiplier * op[5]
+                mults[op[3]] = taken
+                if op[4] is not None:
+                    mults[op[4]] = multiplier - taken
+        return np.array(counts, dtype=np.int64)
 
 
 def execution_counts(
@@ -185,37 +256,14 @@ def execution_counts(
 
     Returns a dense ``int64`` vector indexed by block id.  Trip counts and
     branch splits are resolved with ``rng``, so two calls with differently
-    seeded generators model two non-deterministic trials.
+    seeded generators model two non-deterministic trials.  A block adds
+    ``round(m)`` for its multiplier ``m``: 1.0 at the root, times a
+    loop's trips inside its body, ``m * p_taken`` in a taken arm and
+    ``m - m * p_taken`` in a not-taken arm.  Kernels keep their lowered
+    :class:`CountWalk` (:attr:`repro.isa.kernel.KernelBinary.count_walk`);
+    this lowers ``node`` for one call.
     """
-    counts = np.zeros(n_block_ids, dtype=np.int64)
-    _accumulate(node, args, rng, 1.0, counts)
-    return counts
-
-
-def _accumulate(
-    node: Node,
-    args: ArgValues,
-    rng: np.random.Generator,
-    multiplier: float,
-    counts: np.ndarray,
-) -> None:
-    if multiplier <= 0.0:
-        return
-    if isinstance(node, Block):
-        counts[node.block_id] += int(round(multiplier))
-    elif isinstance(node, Seq):
-        for child in node.children:
-            _accumulate(child, args, rng, multiplier, counts)
-    elif isinstance(node, Loop):
-        trips = node.trip.resolve(args, rng)
-        _accumulate(node.body, args, rng, multiplier * trips, counts)
-    elif isinstance(node, Branch):
-        taken = multiplier * node.p_taken
-        _accumulate(node.taken, args, rng, taken, counts)
-        if node.not_taken is not None:
-            _accumulate(node.not_taken, args, rng, multiplier - taken, counts)
-    else:  # pragma: no cover - defensive
-        raise TypeError(f"unknown program node {node!r}")
+    return CountWalk(node).counts(args, rng, n_block_ids)
 
 
 def seq(*children: Node) -> Seq:

@@ -33,7 +33,12 @@ from repro.obs import events as obs_events
 from repro.faults import errors as fault_errors
 from repro.faults import retry as fault_retry
 from repro.gpu.execution import KernelDispatch
-from repro.opencl.api import KERNEL_ENQUEUE, APICall
+from repro.opencl.api import (
+    KERNEL_ENQUEUE,
+    PAPER_KERNEL_ENQUEUE_SPELLING,
+    SYNCHRONIZATION_CALLS,
+    APICall,
+)
 from repro.opencl.errors import (
     BuildProgramFailure,
     InvalidArgIndex,
@@ -127,6 +132,10 @@ class OpenCLRuntime:
         self._failed_kernels: set[str] = set()
         self._fault_events: list[fault_errors.FaultEvent] = []
         self._host_writes: list[tuple[int, str]] = []
+        self._dispatches: list[KernelDispatch] = []
+        self._sync_indices: list[int] = []
+        self._enqueues = 0
+        self._rng: np.random.Generator | None = None
         # Device-memory contents the host has written (buffer payload
         # scalars); data-dependent kernel control flow reads these.  Keys
         # use the reserved "__" prefix so they can never collide with
@@ -166,15 +175,18 @@ class OpenCLRuntime:
         trip counts and timing noise); re-running with the same seed is the
         modelled equivalent of a CoFluent deterministic replay.
         """
-        rng = np.random.default_rng(trial_seed)
+        self._rng = np.random.default_rng(trial_seed)
         self.driver.device.reset()
         self._kernel_args.clear()
         self._queue.clear()
         self._built = False
         self._data_env.clear()
-        self._failed_kernels: set[str] = set()
-        self._fault_events: list[fault_errors.FaultEvent] = []
-        self._host_writes: list[tuple[int, str]] = []
+        self._failed_kernels = set()
+        self._fault_events = []
+        self._host_writes = []
+        self._dispatches = []
+        self._sync_indices = []
+        self._enqueues = 0
         # Same program + same trial seed => same fault-scope tag, so the
         # CoFluent recording pass and the GT-Pin profiling pass of one
         # workload replay an *identical* injected-fault sequence and their
@@ -183,43 +195,41 @@ class OpenCLRuntime:
         if fi.enabled:
             fi.begin_scope(f"run/{program.name}/{trial_seed}")
 
-        dispatches: list[KernelDispatch] = []
-        sync_indices: list[int] = []
-        enqueues = 0
-
         tm = telemetry.get()
-        call_span = (tm if tm.calls else telemetry.DISABLED).span
+        traced = tm.calls
+        interceptors = self._interceptors
+        handlers = _HANDLERS
         with tm.span(
             "runtime.run", category="opencl",
             program=program.name, seed=trial_seed,
         ) as run_span:
             for call_index, call in enumerate(program.calls):
-                for interceptor in self._interceptors:
+                for interceptor in interceptors:
                     interceptor(call)
-
-                with call_span(f"api.{call.name}", category="opencl"):
-                    if call.is_kernel_enqueue:
-                        self._handle_enqueue(call, call_index)
-                        enqueues += 1
-                    elif call.is_synchronization:
-                        dispatches.extend(self._flush(len(sync_indices), rng))
-                        sync_indices.append(call_index)
-                    else:
-                        self._handle_other(call, call_index)
+                # One lookup finds what the call does; calls with no
+                # device-visible effect have no handler.
+                handler = handlers.get(call.name)
+                if traced:
+                    with tm.span(f"api.{call.name}", category="opencl"):
+                        if handler is not None:
+                            handler(self, call, call_index)
+                elif handler is not None:
+                    handler(self, call, call_index)
 
             # Work enqueued after the last synchronization call still
             # executes (the process exit implies a finish); it belongs to
             # the trailing sync epoch.
-            dispatches.extend(self._flush(len(sync_indices), rng))
+            self._dispatches.extend(self._flush(len(self._sync_indices)))
             run_span.annotate(
-                api_calls=len(program.calls), dispatches=len(dispatches)
+                api_calls=len(program.calls),
+                dispatches=len(self._dispatches),
             )
 
         run = ProgramRun(
             program_name=program.name,
             api_calls=tuple(program.calls),
-            dispatches=tuple(dispatches),
-            sync_call_indices=tuple(sync_indices),
+            dispatches=tuple(self._dispatches),
+            sync_call_indices=tuple(self._sync_indices),
             trial_seed=trial_seed,
             device_name=self.driver.device.spec.name,
             fault_events=tuple(self._fault_events),
@@ -229,7 +239,7 @@ class OpenCLRuntime:
             # Once per run, not per call or dispatch: ``gtpin serve``
             # always captures, and per-event counts slowed cold profiles.
             tm.inc("opencl.api_calls", len(run.api_calls))
-            tm.inc("opencl.kernel_enqueues", enqueues)
+            tm.inc("opencl.kernel_enqueues", self._enqueues)
             tm.inc("opencl.sync_calls", len(run.sync_call_indices))
             tm.inc("opencl.dispatches", len(run.dispatches))
             tm.inc("opencl.instructions", run.total_instructions)
@@ -238,6 +248,7 @@ class OpenCLRuntime:
     # -- handlers ------------------------------------------------------------
 
     def _handle_enqueue(self, call: APICall, call_index: int) -> None:
+        self._enqueues += 1
         if not self._built:
             raise InvalidOperation(
                 f"{KERNEL_ENQUEUE} before clBuildProgram in call #{call_index}"
@@ -278,54 +289,50 @@ class OpenCLRuntime:
             )
         )
 
-    def _handle_other(self, call: APICall, call_index: int = -1) -> None:
-        if call.name == "clBuildProgram":
-            if not self._sources:
-                raise BuildProgramFailure(
-                    "clBuildProgram with no program sources loaded; call "
-                    "load_sources() with the application's kernels first"
-                )
-            failed = self.driver.build_program(self._sources)
-            for kernel_name in failed:
-                self._failed_kernels.add(kernel_name)
-                self._note_degraded(
-                    fault_errors.FaultEvent(site="jit.build", detail=kernel_name)
-                )
-            self._built = True
-        elif call.name in ("clCreateBuffer", "clCreateImage"):
-            size = int(call.args.get("size", 1))
-            if size <= 0:
-                raise InvalidMemObject(
-                    f"{call.name} with non-positive size {size}"
-                )
-            self._allocate(call)
-        elif call.name == "clCreateKernel":
-            kernel_name = call.args.get("kernel", "")
-            self._arg_names(kernel_name)  # validates existence
-            self._kernel_args.setdefault(kernel_name, {})
-        elif call.name == "clSetKernelArg":
-            kernel_name = call.args.get("kernel", "")
-            arg_names = self._arg_names(kernel_name)
-            index = int(call.args.get("arg_index", -1))
-            if not 0 <= index < len(arg_names):
-                raise InvalidArgIndex(
-                    f"kernel {kernel_name!r} has {len(arg_names)} args; "
-                    f"got arg_index={index}"
-                )
-            args = self._kernel_args.setdefault(kernel_name, {})
-            args[arg_names[index]] = float(call.args.get("value", 0.0))
-        elif call.name in ("clEnqueueWriteBuffer", "clEnqueueWriteImage"):
-            # Host->device data transfer: scalar payload summaries become
-            # device-memory state that data-dependent kernels consume.
-            for key, value in call.args.items():
-                if key.startswith("__"):
-                    self._data_env[key] = float(value)
-                    self._host_writes.append((call_index, key))
-        # All remaining "other" calls (context/queue/buffer management,
-        # profiling queries, releases) have no device-visible semantics in
-        # this model; they are recorded by interceptors above.
+    def _handle_sync(self, call: APICall, call_index: int) -> None:
+        self._dispatches.extend(self._flush(len(self._sync_indices)))
+        self._sync_indices.append(call_index)
 
-    def _allocate(self, call: APICall) -> None:
+    def _handle_build(self, call: APICall, call_index: int) -> None:
+        if not self._sources:
+            raise BuildProgramFailure(
+                "clBuildProgram with no program sources loaded; call "
+                "load_sources() with the application's kernels first"
+            )
+        failed = self.driver.build_program(self._sources)
+        for kernel_name in failed:
+            self._failed_kernels.add(kernel_name)
+            self._note_degraded(
+                fault_errors.FaultEvent(site="jit.build", detail=kernel_name)
+            )
+        self._built = True
+
+    def _handle_create_kernel(self, call: APICall, call_index: int) -> None:
+        kernel_name = call.args.get("kernel", "")
+        self._arg_names(kernel_name)  # validates existence
+        self._kernel_args.setdefault(kernel_name, {})
+
+    def _handle_set_arg(self, call: APICall, call_index: int) -> None:
+        kernel_name = call.args.get("kernel", "")
+        arg_names = self._arg_names(kernel_name)
+        index = int(call.args.get("arg_index", -1))
+        if not 0 <= index < len(arg_names):
+            raise InvalidArgIndex(
+                f"kernel {kernel_name!r} has {len(arg_names)} args; "
+                f"got arg_index={index}"
+            )
+        args = self._kernel_args.setdefault(kernel_name, {})
+        args[arg_names[index]] = float(call.args.get("value", 0.0))
+
+    def _handle_write(self, call: APICall, call_index: int) -> None:
+        # Host->device data transfer: scalar payload summaries become
+        # device-memory state that data-dependent kernels consume.
+        for key, value in call.args.items():
+            if key.startswith("__"):
+                self._data_env[key] = float(value)
+                self._host_writes.append((call_index, key))
+
+    def _handle_create_memory(self, call: APICall, call_index: int) -> None:
         """Model ``clCreateBuffer`` / ``clCreateImage`` memory allocation.
 
         The ``alloc.buffer`` fault site can fail an allocation attempt
@@ -334,6 +341,9 @@ class OpenCLRuntime:
         carries no buffer payloads, so execution proceeds with a recorded
         :class:`fault_errors.FaultEvent` instead of aborting.
         """
+        size = int(call.args.get("size", 1))
+        if size <= 0:
+            raise InvalidMemObject(f"{call.name} with non-positive size {size}")
         fi = faults.get()
         if not fi.enabled:
             return
@@ -367,10 +377,7 @@ class OpenCLRuntime:
         )
 
     def _dispatch_pending(
-        self,
-        pending: _PendingEnqueue,
-        sync_epoch: int,
-        rng: np.random.Generator,
+        self, pending: _PendingEnqueue, sync_epoch: int
     ) -> KernelDispatch | None:
         """Dispatch one pending enqueue; None if it was dropped to faults.
 
@@ -380,32 +387,26 @@ class OpenCLRuntime:
         deterministic replay stays aligned.
         """
         fi = faults.get()
+        if not fi.enabled:
+            # Only injected faults are transient: nothing to retry.
+            return self._execute(pending, sync_epoch)
 
         def _attempt() -> KernelDispatch:
-            if fi.enabled:
-                if fi.draw("dispatch.resources") is not None:
-                    raise fault_errors.InjectedOutOfResources(
-                        f"transient dispatch failure for kernel "
-                        f"{pending.kernel_name!r}"
-                    )
-                hang = fi.draw("dispatch.hang")
-                if hang is not None:
-                    timeout = fi.plan.dispatch_timeout_seconds
-                    hang_seconds = timeout * (1.0 + 3.0 * hang.rng.uniform())
-                    raise fault_errors.DispatchTimeoutError(
-                        f"kernel {pending.kernel_name!r} exceeded the "
-                        f"{timeout:.3f}s dispatch timeout (simulated hang "
-                        f"of {hang_seconds:.3f}s)"
-                    )
-            return self.driver.dispatch(
-                pending.kernel_name,
-                pending.arg_values,
-                pending.global_work_size,
-                rng,
-                enqueue_call_index=pending.enqueue_call_index,
-                sync_epoch=sync_epoch,
-                data_env=pending.data_env,
-            )
+            if fi.draw("dispatch.resources") is not None:
+                raise fault_errors.InjectedOutOfResources(
+                    f"transient dispatch failure for kernel "
+                    f"{pending.kernel_name!r}"
+                )
+            hang = fi.draw("dispatch.hang")
+            if hang is not None:
+                timeout = fi.plan.dispatch_timeout_seconds
+                hang_seconds = timeout * (1.0 + 3.0 * hang.rng.uniform())
+                raise fault_errors.DispatchTimeoutError(
+                    f"kernel {pending.kernel_name!r} exceeded the "
+                    f"{timeout:.3f}s dispatch timeout (simulated hang "
+                    f"of {hang_seconds:.3f}s)"
+                )
+            return self._execute(pending, sync_epoch)
 
         try:
             dispatch = fault_retry.retry_transient(
@@ -422,9 +423,21 @@ class OpenCLRuntime:
                 )
             )
             return None
-        if fi.enabled:
-            self._perturb_completion_event(pending, dispatch, fi)
+        self._perturb_completion_event(pending, dispatch, fi)
         return dispatch
+
+    def _execute(
+        self, pending: _PendingEnqueue, sync_epoch: int
+    ) -> KernelDispatch:
+        return self.driver.dispatch(
+            pending.kernel_name,
+            pending.arg_values,
+            pending.global_work_size,
+            self._rng,
+            enqueue_call_index=pending.enqueue_call_index,
+            sync_epoch=sync_epoch,
+            data_env=pending.data_env,
+        )
 
     def _perturb_completion_event(
         self,
@@ -455,31 +468,55 @@ class OpenCLRuntime:
                 )
             )
 
-    def _flush(
-        self, sync_epoch: int, rng: np.random.Generator
-    ) -> list[KernelDispatch]:
+    def _flush(self, sync_epoch: int) -> list[KernelDispatch]:
         """Execute every queued enqueue; stamp queue/sync bookkeeping."""
         tm = telemetry.get()
         if tm.enabled:
             tm.observe_hist(
                 "opencl.flush_batch_kernels", len(self._queue), "kernels"
             )
+        queue, self._queue = self._queue, []
         flushed: list[KernelDispatch] = []
-        for pending in self._queue:
-            with tm.span(
-                f"kernel.{pending.kernel_name}", category="opencl",
-                global_work_size=pending.global_work_size,
-                sync_epoch=sync_epoch,
-            ) as span:
-                dispatch = self._dispatch_pending(pending, sync_epoch, rng)
-                if dispatch is None:
-                    span.annotate(dropped=True)
-                    continue
-                span.annotate(instructions=dispatch.instruction_count)
+        for pending in queue:
             if tm.enabled:
-                tm.observe_hist(
-                    "opencl.dispatch_seconds", span.duration_seconds, "s"
-                )
-            flushed.append(dispatch)
-        self._queue.clear()
+                dispatch = self._traced_dispatch(tm, pending, sync_epoch)
+            else:
+                dispatch = self._dispatch_pending(pending, sync_epoch)
+            if dispatch is not None:
+                flushed.append(dispatch)
         return flushed
+
+    def _traced_dispatch(
+        self, tm: telemetry.Telemetry, pending: _PendingEnqueue,
+        sync_epoch: int,
+    ) -> KernelDispatch | None:
+        """:meth:`_dispatch_pending` inside its ``kernel.<name>`` span."""
+        with tm.span(
+            f"kernel.{pending.kernel_name}", category="opencl",
+            global_work_size=pending.global_work_size,
+            sync_epoch=sync_epoch,
+        ) as span:
+            dispatch = self._dispatch_pending(pending, sync_epoch)
+            if dispatch is None:
+                span.annotate(dropped=True)
+                return None
+            span.annotate(instructions=dispatch.instruction_count)
+        tm.observe_hist("opencl.dispatch_seconds", span.duration_seconds, "s")
+        return dispatch
+
+
+#: The handler of each API call with device-visible semantics.  Every
+#: other call (context, queue and release management, profiling queries)
+#: only reaches the interceptors, which record it.
+_HANDLERS: dict[str, Callable[[OpenCLRuntime, APICall, int], None]] = {
+    KERNEL_ENQUEUE: OpenCLRuntime._handle_enqueue,
+    PAPER_KERNEL_ENQUEUE_SPELLING: OpenCLRuntime._handle_enqueue,
+    **dict.fromkeys(SYNCHRONIZATION_CALLS, OpenCLRuntime._handle_sync),
+    "clBuildProgram": OpenCLRuntime._handle_build,
+    "clCreateBuffer": OpenCLRuntime._handle_create_memory,
+    "clCreateImage": OpenCLRuntime._handle_create_memory,
+    "clCreateKernel": OpenCLRuntime._handle_create_kernel,
+    "clSetKernelArg": OpenCLRuntime._handle_set_arg,
+    "clEnqueueWriteBuffer": OpenCLRuntime._handle_write,
+    "clEnqueueWriteImage": OpenCLRuntime._handle_write,
+}

@@ -104,8 +104,24 @@ def default_cache_root() -> pathlib.Path:
     return pathlib.Path(base) / "repro" / "profiles"
 
 
+#: Instance attribute holding an application's fingerprint once computed.
+_FINGERPRINT_ATTR = "_profile_cache_fingerprint"
+
+
 def _application_fingerprint(application: Any) -> str:
-    """Digest everything that determines a profile's content."""
+    """Digest everything that determines a profile's content.
+
+    Computed once per application object and kept in its ``__dict__``
+    (applications are immutable), so every cold profile of one loaded
+    application hashes its calls once.  Two threads that race here
+    compute the same digest.  Objects without a ``__dict__`` are hashed
+    on every call.
+    """
+    state = getattr(application, "__dict__", None)
+    if state is not None:
+        cached = state.get(_FINGERPRINT_ATTR)
+        if cached is not None:
+            return cached
     digest = hashlib.sha256()
     digest.update(application.name.encode())
     for kernel_name in sorted(application.sources):
@@ -118,7 +134,10 @@ def _application_fingerprint(application: Any) -> str:
     for call in application.host_program.calls:
         digest.update(call.name.encode())
         digest.update(repr(sorted(call.args.items())).encode())
-    return digest.hexdigest()
+    fingerprint = digest.hexdigest()
+    if state is not None:
+        state[_FINGERPRINT_ATTR] = fingerprint
+    return fingerprint
 
 
 class ProfileCache:

@@ -61,7 +61,6 @@ from repro.gpu.memory import (
     expand_addresses_batched,
 )
 from repro.isa.kernel import KernelBinary
-from repro.isa.program import execution_counts
 
 #: Cache hit/miss service latencies, EU cycles.
 HIT_LATENCY_CYCLES = 40.0
@@ -333,8 +332,8 @@ class DetailedGPUSimulator:
         transparent to both results and generator state.
         """
         if not binary.counts_deterministic:
-            return execution_counts(
-                binary.program, arg_values, rng, binary.n_blocks
+            return binary.count_walk.counts(
+                arg_values, rng, binary.n_blocks
             )
         key = (
             binary.name,
@@ -349,8 +348,8 @@ class DetailedGPUSimulator:
         if counts is None:
             if len(self._counts_cache) >= _MEMO_CAPACITY * 4:
                 self._counts_cache.clear()
-            counts = execution_counts(
-                binary.program, arg_values, rng, binary.n_blocks
+            counts = binary.count_walk.counts(
+                arg_values, rng, binary.n_blocks
             )
             counts.setflags(write=False)
             self._counts_cache[key] = counts
@@ -669,8 +668,8 @@ class DetailedGPUSimulator:
             1, -(-global_work_size
                  // self.device.items_per_thread(binary.simd_width))
         )  # ceil div
-        per_thread = execution_counts(
-            binary.program, arg_values, rng, binary.n_blocks
+        per_thread = binary.count_walk.counts(
+            arg_values, rng, binary.n_blocks
         )
 
         tm = telemetry.get()

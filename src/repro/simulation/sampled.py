@@ -31,7 +31,6 @@ from repro.driver.jit import KernelSource
 from repro.gpu.cache import CacheConfig
 from repro.gpu.device import DeviceSpec
 from repro.gtpin.tools.invocations import InvocationLog
-from repro.isa.program import execution_counts
 from repro.parallel.pool import parallel_map, resolve_jobs
 from repro.sampling.selection import Selection
 from repro.simulation import dispatch_graph
@@ -69,7 +68,7 @@ class FullSimulationResult:
     wall_seconds: float
 
 
-def _counts_task(program, env, n_blocks):
+def _counts_task(walk, env, n_blocks):
     """Worker-side trip-count resolution (jitter-free kernels only).
 
     The span is the worker's contribution to the dispatching request's
@@ -81,7 +80,7 @@ def _counts_task(program, env, n_blocks):
         "simulation.epoch_counts.task", category="simulation",
         blocks=n_blocks,
     ):
-        return execution_counts(program, env, None, n_blocks)
+        return walk.counts(env, None, n_blocks)
 
 
 def _precompute_epoch_counts(
@@ -105,7 +104,7 @@ def _precompute_epoch_counts(
         if not binary.counts_deterministic:
             continue
         env = {**dict(profile.data_items), **dict(profile.arg_items)}
-        tasks.append((binary.program, env, binary.n_blocks))
+        tasks.append((binary.count_walk, env, binary.n_blocks))
         owners.append(i)
     if not tasks:
         return {}

@@ -67,7 +67,8 @@ def parse_traceparent(header: str) -> TraceContext | None:
     ``parent-id`` is invalid as a *reference* -- we map it to ``None``.
     """
     match = _TRACEPARENT_RE.match(header.strip().lower())
-    if match is None:
+    if match is None or match.group("version") == "ff":
+        # W3C Trace Context forbids version ff.
         return None
     trace_id = match.group("trace_id")
     if trace_id == "0" * 32:

@@ -7,7 +7,11 @@ as flagged partial profiles (never uncaught exceptions), the
 telemetry export, and with faults disabled every hook is a no-op.
 """
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import faults, telemetry
 from repro.cli import main as cli_main
@@ -78,11 +82,58 @@ def test_plan_uniform_covers_transient_sites():
         "timeout=0",
         "jit.build",
         "jit.build=0.1:-1",
+        # numpy's SeedSequence would reject the seed at the first draw.
+        "seed=-5;event.lost=0.5",
+        "timeout=nan",
+        "timeout=inf",
     ],
 )
 def test_plan_validation_rejects(bad):
     with pytest.raises(ValueError):
         FaultPlan.parse(bad)
+
+
+def _mostly(good, bad):
+    """``good`` nine times in ten, ``bad`` otherwise."""
+    return st.integers(0, 9).flatmap(lambda i: bad if i == 0 else good)
+
+
+@st.composite
+def _plan_specs(draw) -> str:
+    """Mostly well-formed specs with edge values; sometimes junk."""
+    odd = st.sampled_from(["", "x", "-0", "1e999", "nan", ":"])
+    tokens = []
+    if draw(st.booleans()):
+        seed = st.integers(-(2**70), 2**70)
+        tokens.append(f"seed={draw(_mostly(seed, odd))}")
+    if draw(st.booleans()):
+        timeout = st.floats(0.0, 10.0) | st.sampled_from([math.inf, math.nan])
+        tokens.append(f"timeout={draw(_mostly(timeout, st.floats() | odd))}")
+    for site in draw(st.lists(st.sampled_from(sorted(SITES)), unique=True)):
+        probability = draw(_mostly(st.floats(0.0, 1.0), st.floats() | odd))
+        cap = draw(_mostly(st.sampled_from(["", ":0", ":3"]),
+                           st.sampled_from([":-1", ":x", ":"])))
+        tokens.append(f"{site}={probability}{cap}")
+    if draw(st.integers(0, 3)) == 0:
+        tokens.append(draw(st.text(max_size=12)))
+    tokens = draw(st.permutations(tokens))
+    return draw(st.sampled_from([";", ","])).join(tokens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_plan_specs() | st.text(max_size=40))
+def test_plan_parse_accepts_or_raises_value_error(spec):
+    """Any text parses into a plan whose draws work, or raises ValueError."""
+    try:
+        plan = FaultPlan.parse(spec)
+    except ValueError:
+        return
+    injector = FaultInjector(plan)
+    injector.begin_scope("run/fuzz/0")
+    for site in SITES:
+        injection = injector.draw(site)
+        if injection is not None:
+            injection.rng.uniform()
 
 
 # -- the injector: determinism, replay, caps ----------------------------------

@@ -4,15 +4,19 @@ from __future__ import annotations
 
 import concurrent.futures
 import errno
+import hashlib
 import functools
 import multiprocessing
 import multiprocessing.popen_fork
 import os
 import pickle
 
+import numpy as np
 import pytest
 
+import repro
 from repro import telemetry
+from repro.parallel import cache as cache_module
 from repro.gpu.device import HD4000
 from repro.parallel import (
     CACHE_ENV,
@@ -342,6 +346,58 @@ def test_profile_cache_key_depends_on_seed_and_device(small_app, tmp_path):
     base = cache.key(small_app, HD4000, 3, None)
     assert cache.key(small_app, HD4000, 4, None) != base
     assert base == cache.key(small_app, HD4000, 3, None)
+
+
+class _CallCountingApp:
+    """An application that counts how often its call stream is read."""
+
+    def __init__(self, app) -> None:
+        self._app = app
+        self.walks = 0
+
+    @property
+    def name(self) -> str:
+        return self._app.name
+
+    @property
+    def sources(self):
+        return self._app.sources
+
+    @property
+    def host_program(self):
+        self.walks += 1
+        return self._app.host_program
+
+
+def _uncached_key(app, device, seed, timing_params=None) -> str:
+    """The cache key computed from scratch, as the cache defines it."""
+    fingerprint = hashlib.sha256()
+    fingerprint.update(app.name.encode())
+    for kernel_name in sorted(app.sources):
+        fingerprint.update(kernel_name.encode())
+        counts = app.sources[kernel_name].body.arrays.instruction_counts
+        fingerprint.update(np.asarray(counts, dtype=np.float64).tobytes())
+    for call in app.host_program.calls:
+        fingerprint.update(call.name.encode())
+        fingerprint.update(repr(sorted(call.args.items())).encode())
+    digest = hashlib.sha256()
+    digest.update(f"schema={cache_module.SCHEMA_VERSION}".encode())
+    digest.update(f"version={repro.__version__}".encode())
+    digest.update(fingerprint.hexdigest().encode())
+    digest.update(f"device={device.name}".encode())
+    digest.update(f"seed={seed}".encode())
+    digest.update(f"timing={timing_params!r}".encode())
+    return digest.hexdigest()
+
+
+def test_profile_cache_key_hashes_each_application_once(small_app, tmp_path):
+    cache = ProfileCache(tmp_path)
+    app = _CallCountingApp(small_app)
+    first = cache.key(app, HD4000, 3, None)
+    second = cache.key(app, HD4000, 4, None)
+    assert app.walks == 1
+    assert first == _uncached_key(small_app, HD4000, 3)
+    assert second == _uncached_key(small_app, HD4000, 4)
 
 
 def test_profile_cache_corrupt_entry_is_a_miss(small_app, tmp_path):

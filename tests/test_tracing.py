@@ -12,6 +12,8 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.cli import main
@@ -58,10 +60,44 @@ def test_traceparent_zero_parent_means_no_parent():
         "00-" + "0" * 32 + "-" + "1" * 16 + "-01",  # all-zero trace id
         "00-" + "a" * 31 + "-" + "1" * 16 + "-01",  # short trace id
         "00-" + "a" * 32 + "-" + "1" * 15 + "-01",  # short parent
+        "ff-" + "a" * 32 + "-" + "1" * 16 + "-01",  # forbidden version
     ],
 )
 def test_traceparent_rejects_malformed(header):
     assert trace_context.parse_traceparent(header) is None
+
+
+_HEX = "0123456789abcdefABCDEF"
+
+
+def _hex_field(size: int):
+    """A field of the right width four times in five, else a near miss."""
+    return st.integers(0, 4).flatmap(
+        lambda i: st.text(_HEX, min_size=size, max_size=size) if i else
+        st.text(_HEX + "-g", min_size=size - 1, max_size=size + 1)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    header=st.builds(
+        "{}{}-{}-{}-{}{}".format,
+        st.sampled_from(["", " "]),
+        st.sampled_from(["00", "ff", "FF", "01", "fe"]) | _hex_field(2),
+        st.just("0" * 32) | _hex_field(32),
+        st.just("0" * 16) | _hex_field(16),
+        _hex_field(2),
+        st.sampled_from(["", "\n"]),
+    )
+    | st.text(max_size=64)
+)
+def test_traceparent_parses_and_round_trips_or_returns_none(header):
+    ctx = trace_context.parse_traceparent(header)
+    if ctx is None:
+        return
+    assert not header.strip().lower().startswith("ff-")
+    wire = trace_context.format_traceparent(ctx.trace_id, ctx.parent_span_id)
+    assert trace_context.parse_traceparent(wire) == ctx
 
 
 def test_traceparent_parse_is_case_insensitive():
