@@ -89,6 +89,14 @@ class TimingModel:
 
             params = default_timing_params(device)
         self.params = params
+        # Per-dispatch denominators, associated as the roofline reads
+        # them, so each cost keeps the bits of the formula in full.
+        self._issue_rate = (
+            device.eu_count * params.issue_efficiency * device.frequency_hz
+        )
+        self._bandwidth = (
+            device.memory_bandwidth_bytes_per_s * params.bandwidth_efficiency
+        )
 
     def cost(
         self,
@@ -104,23 +112,15 @@ class TimingModel:
         """
         if total_issue_cycles < 0 or total_bytes < 0:
             raise ValueError("cycle and byte totals must be non-negative")
-        device = self.device
-        params = self.params
-
-        effective_eus = device.eu_count * params.issue_efficiency
-        occupancy = 1.0
-        if 0 < n_hw_threads < params.min_occupancy_threads:
-            occupancy = n_hw_threads / params.min_occupancy_threads
-        compute = total_issue_cycles / (
-            effective_eus * device.frequency_hz * max(occupancy, 1e-9)
-        )
-        memory = total_bytes / (
-            device.memory_bandwidth_bytes_per_s * params.bandwidth_efficiency
-        )
+        rate = self._issue_rate
+        min_threads = self.params.min_occupancy_threads
+        if 0 < n_hw_threads < min_threads:
+            # Full occupancy multiplies by 1.0, which changes no bits.
+            rate = rate * max(n_hw_threads / min_threads, 1e-9)
         return KernelCost(
-            compute_seconds=compute,
-            memory_seconds=memory,
-            launch_seconds=device.kernel_launch_overhead_s,
+            compute_seconds=total_issue_cycles / rate,
+            memory_seconds=total_bytes / self._bandwidth,
+            launch_seconds=self.device.kernel_launch_overhead_s,
         )
 
     def sample_seconds(

@@ -90,6 +90,35 @@ def _scalar(value: Any) -> Any:
     return repr(value)
 
 
+def _job_of(record: EventRecord) -> str | None:
+    """The record's ``job`` field, when it is a job id (a string)."""
+    for key, value in record.fields:
+        if key == "job" and isinstance(value, str):
+            return value
+    return None
+
+
+def _index(jobs: dict[str, list[EventRecord]], record: EventRecord) -> None:
+    job = _job_of(record)
+    if job is not None:
+        records = jobs.get(job)
+        if records is None:
+            jobs[job] = [record]
+        else:
+            records.append(record)
+
+
+def _unindex(jobs: dict[str, list[EventRecord]], record: EventRecord) -> None:
+    """Remove ``record``, its job's oldest entry in ``jobs``."""
+    job = _job_of(record)
+    if job is not None:
+        records = jobs[job]
+        if len(records) == 1:
+            del jobs[job]
+        else:
+            del records[0]
+
+
 def _resolve_capacity(capacity: int | None) -> int:
     if capacity is not None:
         return max(1, int(capacity))
@@ -118,7 +147,8 @@ class EventLog:
     live endpoint exist to surface.  The log also keeps per-level counts
     of what it retains, and :meth:`tail` reads the newest records at a
     level without scanning the ring, so a live-endpoint scrape costs
-    the same on a full ring as on an empty one.
+    the same on a full ring as on an empty one; :meth:`job_records`
+    reads one job's records from a per-job index, for the same reason.
     """
 
     enabled = True
@@ -137,15 +167,24 @@ class EventLog:
         self._reserve: collections.deque[EventRecord] = collections.deque()
         # Retained records (ring and reserve) per level.
         self._counts = dict.fromkeys(LEVELS, 0)
+        # Retained records per job id (see _job_of), those in the ring
+        # in ring order and those in the reserve in reserve order: a
+        # record leaves either as its job's oldest there.  A job keys
+        # each only while it has records there.
+        self._job_ring: dict[str, list[EventRecord]] = {}
+        self._job_reserve: dict[str, list[EventRecord]] = {}
         #: Records truly lost (evicted past the reserve); exact forever.
         self.dropped = 0
         # Absorbed worker records may carry timestamps older than
         # already-recorded parent events; sort lazily on read.
         self._needs_sort = False
 
-    def _drop(self, record: EventRecord) -> None:
+    def _drop(self, record: EventRecord, parked: bool) -> None:
+        """Lose ``record``, the oldest of the reserve (``parked``) or of
+        the ring."""
         self._counts[record.level] -= 1
         self.dropped += 1
+        _unindex(self._job_reserve if parked else self._job_ring, record)
         tm = telemetry.get()
         if tm.enabled:
             tm.inc("events.dropped")
@@ -159,14 +198,17 @@ class EventLog:
                 floor.popleft()
             if rank >= _WARN_RANK:
                 if len(self._reserve) >= self._reserve_capacity:
-                    self._drop(self._reserve.popleft())
+                    self._drop(self._reserve.popleft(), parked=True)
                 self._reserve.append(evicted)
+                _unindex(self._job_ring, evicted)
+                _index(self._job_reserve, evicted)
             else:
-                self._drop(evicted)
+                self._drop(evicted, parked=False)
         self._records.append(record)
         for floor in self._floors[: _LEVEL_RANK[record.level]]:
             floor.append(record)
         self._counts[record.level] += 1
+        _index(self._job_ring, record)
 
     def _sort(self) -> None:
         """Re-sort the ring by timestamp after an :meth:`absorb` (under
@@ -183,6 +225,9 @@ class EventLog:
             )
             for rank in range(len(self._floors))
         ]
+        self._job_ring = {}
+        for record in self._records:
+            _index(self._job_ring, record)
         self._needs_sort = False
 
     def emit(self, level: str, name: str, **fields: Any) -> None:
@@ -276,6 +321,23 @@ class EventLog:
             ]
             return sorted(parked + newest, key=lambda r: r.ts_unix)[-limit:]
 
+    def job_records(self, job: str) -> list[EventRecord]:
+        """The retained events whose ``job`` field is ``job``, in
+        :meth:`records` order, read from the per-job index: its cost
+        does not grow with the ring (after an :meth:`absorb`, the first
+        read still sorts the ring)."""
+        with self._lock:
+            self._sort()
+            ring = self._job_ring.get(job, [])
+            if self._reserve:
+                # As in records(): reserved incidents first, then a
+                # stable sort by timestamp.
+                return sorted(
+                    self._job_reserve.get(job, []) + ring,
+                    key=lambda r: r.ts_unix,
+                )
+            return list(ring)
+
     def level_counts(self) -> dict[str, int]:
         """Retained events (ring and reserve) per level."""
         with self._lock:
@@ -311,6 +373,9 @@ class DisabledEventLog:
         return []
 
     def tail(self, limit: int, min_level: str = "DEBUG") -> list[EventRecord]:
+        return []
+
+    def job_records(self, job: str) -> list[EventRecord]:
         return []
 
     def level_counts(self) -> dict[str, int]:

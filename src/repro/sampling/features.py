@@ -25,7 +25,7 @@ import dataclasses
 import enum
 import operator
 from collections import abc
-from typing import Hashable, Sequence
+from typing import Hashable, Iterator, Sequence
 
 import numpy as np
 
@@ -229,13 +229,27 @@ class FeatureMatrix(abc.Sequence):
         return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
-def _block_matrix(
+#: The key families each block kind's vector holds, in element order.
+_BLOCK_FAMILIES = {
+    FeatureKind.BB: ("bb",),
+    FeatureKind.BB_R: ("bb", "bb_r"),
+    FeatureKind.BB_W: ("bb", "bb_w"),
+    FeatureKind.BB_R_W: ("bb", "bb_r", "bb_w"),
+    FeatureKind.BB_R_PLUS_W: ("bb", "bb_rw"),
+}
+
+
+def _block_matrices(
     log: InvocationLog,
     intervals: Sequence[Interval],
-    kind: FeatureKind,
+    kinds: Sequence[FeatureKind],
     weighted: bool,
-) -> FeatureMatrix:
-    """BB-family features by array passes over per-kernel prefix sums.
+) -> Iterator[FeatureMatrix]:
+    """BB-family matrices for ``kinds``, in order, by one pass over the log.
+
+    The pass computes, per kernel, every interval's summed block counts
+    by array code over prefix sums, once for all kinds; each matrix is
+    then assembled from it and yielded, so only one is held at a time.
 
     Bit-identical to :func:`feature_vector`: every contribution is an
     integer (block counts times static per-block integers), and each of
@@ -245,15 +259,9 @@ def _block_matrix(
     invocation that executes it, ascending block id within an
     invocation, one family after another: element order is the sort by
     (interval, first executing invocation, block id), families side by
-    side.
+    side, and a key's column is its block's first-occurrence rank times
+    the family count plus its family's position.
     """
-    families = {
-        FeatureKind.BB: ("bb",),
-        FeatureKind.BB_R: ("bb", "bb_r"),
-        FeatureKind.BB_W: ("bb", "bb_w"),
-        FeatureKind.BB_R_W: ("bb", "bb_r", "bb_w"),
-        FeatureKind.BB_R_PLUS_W: ("bb", "bb_rw"),
-    }[kind]
     groups: dict[str, list[int]] = {}
     for i, profile in enumerate(log.invocations):
         groups.setdefault(profile.kernel_name, []).append(i)
@@ -263,8 +271,8 @@ def _block_matrix(
     # Intervals are contiguous invocation ranges, so a per-kernel
     # prefix-sum matrix gives every interval's summed block counts by one
     # subtraction.  A kernel's part has, per (interval, executed block):
-    # interval, first executing invocation, kernel id, block id and one
-    # value per family.
+    # interval, first executing invocation, kernel id, block id and the
+    # value of each family.
     parts: list[tuple[np.ndarray, ...]] = []
     width = 0  # the most blocks any kernel has
     for g, kernel in enumerate(kernels):
@@ -286,49 +294,82 @@ def _block_matrix(
         rows, blocks = np.nonzero(summed)
         hot = summed[rows, blocks]
         arrays = log.binary(kernel).arrays
-        reads = hot * arrays.bytes_read[blocks]
-        writes = hot * arrays.bytes_written[blocks]
-        values = {
-            "bb": hot * arrays.instruction_counts[blocks] if weighted else hot,
-            "bb_r": reads,
-            "bb_w": writes,
-            "bb_rw": reads + writes,
-        }
         parts.append((
             active[rows],
             positions[nxt[lo[active[rows]], blocks]],
             np.full(rows.size, g),
             blocks,
-            *(values[family] for family in families),
+            hot * arrays.instruction_counts[blocks] if weighted else hot,
+            hot * arrays.bytes_read[blocks],
+            hot * arrays.bytes_written[blocks],
         ))
-    ivs, firsts, kernel_ids, blocks, *family_values = (
+    ivs, firsts, kernel_ids, blocks, base, reads, writes = (
         np.concatenate(column) for column in zip(*parts)
     )
     order = np.lexsort((blocks, firsts, ivs))
-    n_fam = len(families)
-    # One integer code per key: (kernel id, block id, family) packed.
-    codes = (kernel_ids * width + blocks)[order, None] * n_fam
-    codes = (codes + np.arange(n_fam)).ravel()
-    # Column ids rank the distinct codes by their first element.
+    needed = {family for kind in kinds for family in _BLOCK_FAMILIES[kind]}
+    values = {
+        family: column[order]
+        for family, column in (
+            ("bb", base), ("bb_r", reads), ("bb_w", writes),
+            ("bb_rw", reads + writes),
+        )
+        if family in needed
+    }
+    ivs = ivs[order]
+    # One integer code per (kernel, block); blocks rank by the first
+    # element that holds them.
     unique, first_element, inverse = np.unique(
-        codes, return_index=True, return_inverse=True
+        (kernel_ids * width + blocks)[order],
+        return_index=True, return_inverse=True,
     )
-    ranked = np.argsort(first_element)  # column id -> unique index
-    column_of = np.argsort(ranked)  # unique index -> column id
-    kernel_blocks, key_families = np.divmod(unique[ranked], n_fam)
-    key_kernels, key_blocks = np.divmod(kernel_blocks, width)
-    keys = zip(
-        [families[f] for f in key_families.tolist()],
-        [kernels[g] for g in key_kernels.tolist()],
-        key_blocks.tolist(),
+    ranked = np.argsort(first_element)  # rank -> unique index
+    rank_of = np.argsort(ranked)[inverse]  # element -> its block's rank
+    key_kernels, key_blocks = np.divmod(unique[ranked], width)
+    block_keys = list(zip(
+        [kernels[g] for g in key_kernels.tolist()], key_blocks.tolist()
+    ))
+    # The generator's frame lives until the last kind is built: keep
+    # only what the matrices read.
+    del parts, firsts, kernel_ids, blocks, base, reads, writes, order
+    del unique, first_element, inverse, ranked
+    for kind in kinds:
+        families = _BLOCK_FAMILIES[kind]
+        n_fam = len(families)
+        yield FeatureMatrix(
+            rows=np.repeat(ivs, n_fam),
+            cols=(rank_of[:, None] * n_fam + np.arange(n_fam)).ravel(),
+            values=np.stack(
+                [values[family] for family in families], axis=1
+            ).ravel().astype(float),
+            keys=tuple(
+                (family, kernel, block)
+                for kernel, block in block_keys
+                for family in families
+            ),
+            n_rows=len(intervals),
+        )
+
+
+def feature_matrices(
+    log: InvocationLog,
+    intervals: Sequence[Interval],
+    kinds: Sequence[FeatureKind],
+    weighted: bool = True,
+) -> Iterator[FeatureMatrix]:
+    """:func:`build_feature_vectors` for each of ``kinds``, in order,
+    one matrix at a time; the block kinds share one pass over the log."""
+    blocks = _block_matrices(
+        log, intervals, [kind for kind in kinds if kind.is_block_based],
+        weighted,
     )
-    return FeatureMatrix(
-        rows=np.repeat(ivs[order], n_fam),
-        cols=column_of[inverse],
-        values=np.stack(family_values, axis=1)[order].ravel().astype(float),
-        keys=tuple(keys),
-        n_rows=len(intervals),
-    )
+    for kind in kinds:
+        if kind.is_block_based:
+            yield next(blocks)
+        else:
+            yield FeatureMatrix.from_vectors(
+                [feature_vector(log, iv, kind, weighted) for iv in intervals]
+            )
 
 
 def build_feature_vectors(
@@ -347,8 +388,4 @@ def build_feature_vectors(
     kinds are one event per invocation, built by :func:`feature_vector`
     and packed into the matrix.
     """
-    if kind.is_block_based:
-        return _block_matrix(log, intervals, kind, weighted)
-    return FeatureMatrix.from_vectors(
-        [feature_vector(log, iv, kind, weighted) for iv in intervals]
-    )
+    return next(feature_matrices(log, intervals, (kind,), weighted))

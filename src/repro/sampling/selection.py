@@ -12,7 +12,7 @@ instructions (the simulator fast-forwards or checkpoints everything else).
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.sampling.features import FeatureKind
 from repro.sampling.intervals import Interval, IntervalScheme
@@ -100,10 +100,17 @@ class Selection:
         return indices
 
 
+class Clustering(NamedTuple):
+    """What a selection reads of a :class:`SimPointResult`."""
+
+    representatives: tuple[int, ...]
+    representation_ratios: tuple[float, ...]
+
+
 def selection_from_simpoint(
     config: SelectionConfig,
     intervals: Sequence[Interval],
-    result: SimPointResult,
+    result: SimPointResult | Clustering,
     total_instructions: int,
 ) -> Selection:
     """Map SimPoint's representative vectors back to their intervals."""

@@ -238,14 +238,10 @@ class ServeDaemon:
 
     def job_events(self, job_id: str) -> list[dict[str, Any]]:
         """The job's ``serve.*`` event records, chronological."""
-        log = obs_events.get()
-        if not log.enabled:
-            return []
         return [
             record.to_json()
-            for record in log.records()
+            for record in obs_events.get().job_records(job_id)
             if record.name.startswith("serve.")
-            and ("job", job_id) in record.fields
         ]
 
 

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.gpu.device import HD4000, HD4600
-from repro.gpu.timing import TimingModel, TimingParameters
+from repro.gpu.device import FIGURE_8_FREQUENCIES_MHZ, HD4000, HD4600
+from repro.gpu.providers import known_device_tokens, resolve_device
+from repro.gpu.timing import KernelCost, TimingModel, TimingParameters
 
 
 def _model(device=HD4000, **kwargs):
@@ -98,3 +101,46 @@ def test_with_device_keeps_params():
     model = TimingModel(HD4000, params).with_device(HD4600)
     assert model.device is HD4600
     assert model.params.noise_sigma == 0.07
+
+
+def _formula_cost(model, total_issue_cycles, total_bytes, n_hw_threads):
+    """The roofline written out in full on every call (the reference)."""
+    device, params = model.device, model.params
+    effective_eus = device.eu_count * params.issue_efficiency
+    occupancy = 1.0
+    if 0 < n_hw_threads < params.min_occupancy_threads:
+        occupancy = n_hw_threads / params.min_occupancy_threads
+    compute = total_issue_cycles / (
+        effective_eus * device.frequency_hz * max(occupancy, 1e-9)
+    )
+    memory = total_bytes / (
+        device.memory_bandwidth_bytes_per_s * params.bandwidth_efficiency
+    )
+    return KernelCost(compute, memory, device.kernel_launch_overhead_s)
+
+
+#: Every provider's devices, each at its own clock and at every Figure 8
+#: frequency.
+_DEVICES = [
+    device
+    for device in {
+        resolve_device(token).name: resolve_device(token)
+        for token in known_device_tokens()
+    }.values()
+    for device in (device, *map(device.at_frequency, FIGURE_8_FREQUENCIES_MHZ))
+]
+
+
+@given(
+    st.sampled_from(_DEVICES),
+    st.floats(0.0, 1e13, allow_subnormal=False),
+    st.floats(0.0, 1e12, allow_subnormal=False),
+    st.integers(0, 4096),
+)
+@settings(max_examples=300, deadline=None)
+def test_cost_keeps_the_bits_of_the_full_formula(device, cycles, n_bytes, threads):
+    model = TimingModel(device)
+    # A float's repr round-trips, so equal reprs are equal bits.
+    assert repr(model.cost(cycles, n_bytes, threads)) == repr(
+        _formula_cost(model, cycles, n_bytes, threads)
+    )

@@ -646,7 +646,13 @@ def test_sweep_replays_explore_against_per_run_kmeans(app, monkeypatch):
     as perfbench runs it), replayed through the sweep and the per-run
     oracle, k by k.  ``cb-gaussian-buffer`` reseeds in most of its
     Lloyd iterations and cycles; both must occur in the replay."""
-    from repro.sampling import explorer, explore_application
+    from repro.sampling import (
+        ALL_CONFIGS,
+        build_feature_vectors,
+        divide,
+        explorer,
+        explore_application,
+    )
     from repro.sampling.pipeline import profile_workload
     from repro.workloads import load_app
 
@@ -662,7 +668,18 @@ def test_sweep_replays_explore_against_per_run_kmeans(app, monkeypatch):
     with obs_events.session() as log:
         explore_application(workload, jobs=1)
         names = {record.name for record in log.records()}
-    assert len(calls) == 30
+    # explore clusters each distinct (weights, matrix) of its 30
+    # configurations once.
+    problems = set()
+    for config in ALL_CONFIGS:
+        intervals = divide(workload.log, config.scheme)
+        matrix = build_feature_vectors(workload.log, intervals, config.feature)
+        problems.add((
+            tuple(iv.instruction_count for iv in intervals),
+            matrix.rows.tobytes(), matrix.cols.tobytes(),
+            matrix.values.tobytes(),
+        ))
+    assert len(calls) == len(problems) < 30
     assert "simpoint.reseed" in names
     if app == "cb-gaussian-buffer":
         assert "simpoint.cycle" in names
